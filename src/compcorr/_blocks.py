@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .compositions import composition_counts, _first_parts
+from .compositions import composition_counts, prefix_runs, tail_cap, _first_parts
 from .segments import segment_count, segment_offsets
 
 # Upper bound on compositions per block.  Fixed: block geometry determines
@@ -47,17 +47,6 @@ class CompositionBlock:
     offset: int            # canonical index of the block's first composition
     count: int             # compositions in the block
     matrix: csr_matrix     # (count, nseg) 0/1 incidence
-
-
-def _tail_cap(n: int, m: int) -> int:
-    """Largest remainder whose composition count fits in one block."""
-    cap = m
-    counts = composition_counts(n, m)
-    for r in range(m, n + 1):
-        if counts[r] > BLOCK_ROWS:
-            break
-        cap = r
-    return cap
 
 
 @lru_cache(maxsize=8)
@@ -86,21 +75,6 @@ def _tails(m: int, cap: int) -> tuple[_Tail, ...]:
     return tuple(tails)
 
 
-def _block_specs(n: int, m: int, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(prefix parts, remainder) per block, in canonical order."""
-
-    def rec(prefix: list[int], remaining: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if remaining <= cap:
-            yield tuple(prefix), remaining
-            return
-        for p in _first_parts(remaining, m):
-            prefix.append(p)
-            yield from rec(prefix, remaining - p)
-            prefix.pop()
-
-    yield from rec([], n)
-
-
 def _assemble(n: int, m: int, offset: int, prefix: tuple[int, ...], remainder: int,
               tails: tuple[_Tail, ...]) -> CompositionBlock:
     soffset = segment_offsets(n, m)
@@ -126,10 +100,10 @@ def _assemble(n: int, m: int, offset: int, prefix: tuple[int, ...], remainder: i
 
 def iter_blocks(n: int, m: int) -> Iterator[CompositionBlock]:
     """Stream the incidence blocks for (n, m) in canonical order."""
-    cap = _tail_cap(n, m)
+    cap = tail_cap(n, m, BLOCK_ROWS)
     tails = _tails(m, cap)
     offset = 0
-    for prefix, remainder in _block_specs(n, m, cap):
+    for prefix, remainder in prefix_runs(n, m, cap):
         block = _assemble(n, m, offset, prefix, remainder, tails)
         offset += block.count
         yield block

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .segments import TimeSeries
 
@@ -55,6 +54,10 @@ def pearson(x, y) -> float | None:
 
 def spearman(x, y) -> float | None:
     """Rank correlation: Pearson of average ranks; None on all-tied input."""
+    # imported here: scipy.stats costs most of the package's import time,
+    # and nothing else needs it
+    from scipy.stats import rankdata
+
     a, b = _check_pair(x, y)
     return pearson(rankdata(a, method="average"), rankdata(b, method="average"))
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .compositions import CompositionSpec, count_compositions, enumerate_compositions
+from .compositions import CompositionSpec, count_compositions, prefix_runs, tail_cap, tail_labels
 from .corr import ScanOptions, ScanResult
 from .datasets import DEFAULT_RANGES, FUNCTIONS, Dataset, SynthSpec, load_dataset, synth_dataset, write_dataset
 from .engine import (
@@ -34,6 +34,9 @@ from .engine import (
 )
 
 PROGRESS_EVERY = 10_000
+# Most compositions per distribution-file run.  The label table then holds a
+# few thousand strings while each write still carries hundreds of lines.
+LABEL_ROWS = 1024
 
 
 def _default_workers() -> int:
@@ -113,10 +116,30 @@ def _distribution_path(outdir: Path, dataset: str, id_a: str, id_b: str, spec: C
 
 
 def _write_distribution(path: Path, result: ScanResult, precision: int) -> None:
+    """Write one ``composition<TAB>r_c`` line per composition, canonical order.
+
+    Renders runs of compositions that share a prefix: each run's lines come
+    from cached tail labels and one slice of the values vector, and go out
+    in one write.  Lines read as format_composition and format_number
+    render them.
+    """
+    if result.values is None:
+        raise ValueError("scan was not asked to keep the distribution")
+    n, m = result.spec.n, result.spec.m
+    cap = tail_cap(n, m, LABEL_ROWS)
+    labels = tail_labels(m, cap)
+    spec = f".{precision}f"
+    offset = 0
     with _guarded_output(path) as out:
         out.write("composition\tr_c\n")
-        for parts, value in result.distribution():
-            out.write(f"{format_composition(parts)}\t{format_number(value, precision)}\n")
+        for prefix, remainder in prefix_runs(n, m, cap):
+            tails = labels[remainder]
+            head = "[" + ",".join(map(str, prefix)) + ("," if prefix and remainder else "")
+            chunk = result.values[offset:offset + len(tails)].tolist()
+            offset += len(tails)
+            # NaN (x != x) marks an Undefined composition
+            out.write("".join([f"{head}{t}]\t{'NA' if x != x else format(x, spec)}\n"
+                               for t, x in zip(tails, chunk)]))
 
 
 def _part_correlations(a, b, parts) -> list[float | None]:

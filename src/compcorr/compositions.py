@@ -19,6 +19,7 @@ state, so memory use is independent of how many compositions exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -131,6 +132,63 @@ def _first_parts(total: int, m: int) -> list[int]:
     ps = list(range(m, total - m + 1))
     ps.append(total)
     return ps
+
+
+def tail_cap(n: int, m: int, limit: int) -> int:
+    """Largest remainder up to n whose composition count is at most ``limit``.
+
+    Never below m, whose single composition fits any positive limit.
+    """
+    cap = m
+    counts = composition_counts(n, m)
+    for r in range(m, n + 1):
+        if counts[r] > limit:
+            break
+        cap = r
+    return cap
+
+
+def prefix_runs(n: int, m: int, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Cut the canonical order of compositions of n into runs sharing a prefix.
+
+    Yields ``(prefix, remainder)`` in canonical order, with
+    ``remainder <= cap``: the run is ``prefix`` followed by each
+    composition of ``remainder`` in turn (just ``prefix`` when the
+    remainder is 0).  The compositions of n, sorted, are the concatenation
+    over ascending first parts p of [p] prefixed to the sorted compositions
+    of n-p, so prefixes are peeled off until the remainder fits the cap.
+    """
+
+    def rec(prefix: list[int], remaining: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if remaining <= cap:
+            yield tuple(prefix), remaining
+            return
+        for p in _first_parts(remaining, m):
+            prefix.append(p)
+            yield from rec(prefix, remaining - p)
+            prefix.pop()
+
+    yield from rec([], n)
+
+
+@lru_cache(maxsize=8)
+def tail_labels(m: int, cap: int) -> tuple[tuple[str, ...], ...]:
+    """Comma-joined parts of every composition of each remainder 0..cap.
+
+    Entry r lists the labels of the compositions of r in canonical order,
+    e.g. ``("2,3", "3,2", "5")`` for r=5, m=2; remainder 0 has the single
+    empty label.  Built bottom-up by the same first-part recursion as
+    :func:`prefix_runs`.
+    """
+    labels: list[tuple[str, ...]] = [() for _ in range(cap + 1)]
+    labels[0] = ("",)
+    for r in range(m, cap + 1):
+        row: list[str] = []
+        for p in _first_parts(r, m):
+            head = str(p)
+            row.extend(head + "," + t if t else head for t in labels[r - p])
+        labels[r] = tuple(row)
+    return tuple(labels)
 
 
 def composition_at(spec: CompositionSpec, index: int) -> tuple[int, ...]:

@@ -397,7 +397,7 @@ def test_10_baseline_crosscheck():
     report = BaselineReport.for_pair(a, b)
     assert abs(report.pearson - 0.048) < 1e-2
     assert abs(report.spearman - 0.082) < 1e-2
-    assert abs(report.dcor - 0.386) < 1e-2
+    assert abs(report.distance_correlation - 0.386) < 1e-2
 
     hi = distance_correlation(ds.get(_find_id(ds, "YBR183")).values,
                               ds.get(_find_id(ds, "YHR216")).values)
@@ -406,4 +406,4 @@ def test_10_baseline_crosscheck():
     assert abs(hi - 0.508) < 1e-2
     assert abs(lo - 0.208) < 1e-2
     ok("baselines", f"pearson/spearman/dcor {report.pearson:.3f}/{report.spearman:.3f}/"
-                    f"{report.dcor:.3f}, extreme dcor {hi:.3f}/{lo:.3f}")
+                    f"{report.distance_correlation:.3f}, extreme dcor {hi:.3f}/{lo:.3f}")

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import compcorr
 from compcorr.baselines import BaselineReport, distance_correlation, pearson, spearman
 from compcorr.segments import TimeSeries
 
@@ -132,3 +138,13 @@ def test_report_for_pair():
     assert rep.pearson == pytest.approx(pearson(x, y), abs=1e-15)
     assert rep.spearman == pytest.approx(spearman(x, y), abs=1e-15)
     assert rep.distance_correlation == pytest.approx(distance_correlation(x, y), abs=1e-15)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the CLI's start-up time; only spearman needs it
+    src = str(Path(compcorr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, compcorr.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compcorr.cli import _default_workers, _guarded_output, build_parser, main
+from compcorr import cli
+from compcorr.cli import _default_workers, _guarded_output, _write_distribution, build_parser, main
+from compcorr.compositions import CompositionSpec, prefix_runs, tail_cap
+from compcorr.corr import ScanOptions, scan
 from compcorr.datasets import Dataset, write_dataset
+from compcorr.engine import format_composition, format_number
 from compcorr.segments import TimeSeries
 
 
@@ -60,6 +64,50 @@ def test_count_rejects_short_series():
     code, _, err = run(["count", "3", "--min-part", "4"])
     assert code == 1
     assert "error" in err
+
+
+# ------------------------------------------------------ distribution file
+
+def line_by_line_distribution(result, precision):
+    """The writer's reference: one formatted line per (composition, value)."""
+    return ("composition\tr_c\n" + "".join(
+        f"{format_composition(parts)}\t{format_number(value, precision)}\n"
+        for parts, value in result.distribution())).encode()
+
+
+@pytest.mark.parametrize("label_rows", [1, 16, cli.LABEL_ROWS])
+@pytest.mark.parametrize("n,m", [(18, 2), (20, 3), (23, 4)])
+def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatch, n, m, label_rows):
+    monkeypatch.setattr(cli, "LABEL_ROWS", label_rows)
+    runs = list(prefix_runs(n, m, tail_cap(n, m, label_rows)))
+    if label_rows < cli.LABEL_ROWS:
+        # the small tables cut the file into many runs, some a whole composition
+        assert len(runs) > 1 and any(rem == 0 for _, rem in runs)
+    rng = np.random.default_rng(n * 100 + m)
+    step = np.repeat(rng.normal(size=3), [m, n - 2 * m, m])
+    pairs = [
+        (TimeSeries("a", rng.normal(size=n)), TimeSeries("b", rng.normal(size=n))),
+        (TimeSeries("step", step), TimeSeries("b", rng.normal(size=n))),
+    ]
+    for a, b in pairs:
+        result = scan(a, b, CompositionSpec(n, m), ScanOptions(distribution=True))
+        result.values[1] = -1e-9       # renders as -0.000000 (and -0 at precision 0)
+        result.values[-2] = -0.0
+        if a.id == "step":
+            assert np.isnan(result.values).any()
+        for precision in (0, 3, 6):
+            path = tmp_path / f"{a.id}.{precision}.txt"
+            _write_distribution(path, result, precision)
+            assert path.read_bytes() == line_by_line_distribution(result, precision)
+    assert "\t-0.000000\n" in path.read_text()
+    assert "\tNA\n" in path.read_text()
+
+
+def test_distribution_writer_needs_values(tmp_path):
+    a = TimeSeries("a", np.arange(6.0) ** 2)
+    result = scan(a, a, CompositionSpec(6, 2))
+    with pytest.raises(ValueError):
+        _write_distribution(tmp_path / "d.txt", result, 6)
 
 
 # ------------------------------------------------------------------ synth
@@ -179,6 +227,12 @@ def test_all_pairs_emit_distribution(in_tmp, toy_file):
     records = len(Path("ap.tsv").read_text().splitlines()) - 1
     dist_files = [p for p in os.listdir(".") if p.startswith("Output.toy.")]
     assert len(dist_files) == records == 15
+    # the emitted file is the one `pair` writes for the same pair
+    code, _, _ = run(["pair", "g2", "g4", "--input", str(toy_file), "--min-part", "4",
+                      "--output", "single"])
+    assert code == 0
+    name = "Output.toy.g2.g4.n23.m4.txt"
+    assert Path(name).read_bytes() == (Path("single") / name).read_bytes()
 
 
 def test_all_pairs_bad_filter(in_tmp, toy_file):

@@ -8,6 +8,9 @@ from compcorr.compositions import (
     composition_counts,
     count_compositions,
     enumerate_compositions,
+    prefix_runs,
+    tail_cap,
+    tail_labels,
     validate_composition,
 )
 
@@ -137,6 +140,21 @@ def test_exact_small_enumerations():
         (4, 2),
         (6,),
     ]
+
+
+def test_prefix_runs_with_tail_labels_spell_the_enumeration():
+    for n, m in [(9, 2), (14, 2), (15, 3), (17, 4)]:
+        counts = composition_counts(n, m)
+        for limit in (1, 3, 10, counts[n]):
+            cap = tail_cap(n, m, limit)
+            assert counts[cap] <= limit and cap >= m
+            labels = tail_labels(m, cap)
+            spelled = []
+            for prefix, remainder in prefix_runs(n, m, cap):
+                assert remainder <= cap
+                spelled.extend(prefix + tuple(int(p) for p in t.split(",") if p)
+                               for t in labels[remainder])
+            assert spelled == list(enumerate_compositions(CompositionSpec(n, m)))
 
 
 # -------------------------------------------------------------- unranking
