@@ -22,7 +22,6 @@ from .corr import (
     comp_covariance,
     comp_std,
     comp_variance,
-    scan,
 )
 from .baselines import BaselineReport, distance_correlation, pearson, spearman
 from .datasets import (
@@ -43,6 +42,7 @@ from .engine import (
     run_pair,
     run_pair_list,
     run_versus_time,
+    scan,
 )
 
 __version__ = "0.1.0"

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
 
 from .compositions import composition_counts, prefix_runs, tail_cap, _first_parts
 from .segments import segment_count, segment_offsets
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 # Upper bound on compositions per block.  Fixed: block geometry determines
 # the evaluation batching, and keeping it constant keeps every scan of a
@@ -77,6 +79,10 @@ def _tails(m: int, cap: int) -> tuple[_Tail, ...]:
 
 def _assemble(n: int, m: int, offset: int, prefix: tuple[int, ...], remainder: int,
               tails: tuple[_Tail, ...]) -> CompositionBlock:
+    # imported here: scipy.sparse is most of the package's import time, and
+    # count and synth never build blocks
+    from scipy.sparse import coo_matrix
+
     soffset = segment_offsets(n, m)
     tail = tails[remainder]
     count = tail.count

@@ -11,12 +11,13 @@ The single-part composition recovers the plain Pearson correlation.  When
 either pooled variance is zero the correlation is Undefined, a value in
 its own right (rendered as None here, NA in files), never an error.
 
-``scan`` evaluates r_c over every composition for a given minimum part
-length, tracking the extremes (HCC and LCC, with the earliest attaining
-composition in canonical order as BCC and WCC) and optionally the whole
-distribution.  Single-composition functions below are the direct two-pass
-form of the definitions; the scan goes through the segment table and the
-incidence blocks instead, so the two routes check each other.
+The functions below are the direct two-pass form of the definitions, one
+composition at a time; they are the reference the tests hold the scan
+kernel to.  ``engine.scan`` evaluates r_c over every composition for a
+given minimum part length, tracking the extremes (HCC and LCC, with the
+earliest attaining composition in canonical order as BCC and WCC) and
+optionally the whole distribution, and returns the :class:`ScanResult`
+defined here.
 """
 from __future__ import annotations
 
@@ -25,9 +26,14 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _blocks
-from .compositions import CompositionSpec, composition_at, count_compositions, enumerate_compositions, validate_composition
-from .segments import ConsistencyError, SegmentTable, TimeSeries, ZERO_FLOOR_REL
+from .compositions import (
+    CompositionSpec,
+    composition_at,
+    count_compositions,
+    enumerate_compositions,
+    validate_composition,
+)
+from .segments import ConsistencyError, TimeSeries, ZERO_FLOOR_REL
 
 # |r_c| may stick out past 1 by accumulated rounding only; anything past
 # this is an internal inconsistency, anything under it is clamped.
@@ -148,6 +154,22 @@ class ScanResult:
     values: np.ndarray | None = None
     clouds: np.ndarray | None = None
 
+    @classmethod
+    def from_kernel(cls, a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
+                    hcc: float, lcc: float, pearson: float, best: int, worst: int,
+                    n_undefined: int, values=None, clouds=None) -> "ScanResult":
+        """The result of a scan kernel's answer for one pair: values NaN
+        where Undefined, BCC and WCC as canonical indices (-1: none)."""
+        def value(x: float) -> float | None:
+            return None if np.isnan(x) else float(x)
+
+        def parts(index: int) -> tuple[int, ...] | None:
+            return None if index < 0 else composition_at(spec, index)
+
+        total = count_compositions(spec)
+        return cls(a.id, b.id, spec, value(hcc), value(lcc), value(pearson), parts(best),
+                   parts(worst), total, total - n_undefined, n_undefined, values, clouds)
+
     def distribution(self) -> Iterator[tuple[tuple[int, ...], float | None]]:
         """(composition, value) pairs in canonical order; needs the values
         vector, so scan with ``ScanOptions(distribution=True)``."""
@@ -155,98 +177,3 @@ class ScanResult:
             raise ValueError("scan was not asked to keep the distribution")
         for parts, v in zip(enumerate_compositions(self.spec), self.values):
             yield parts, (None if np.isnan(v) else float(v))
-
-
-def _clamp_block(r: np.ndarray) -> None:
-    # NaN marks Undefined and passes through untouched
-    with np.errstate(invalid="ignore"):
-        excess = np.abs(r) - 1.0
-        bad = excess > UNIT_EXCESS_TOL
-    if np.any(bad):
-        worst = float(np.nanmax(np.abs(r)))
-        raise ConsistencyError(f"correlation magnitude {worst!r} exceeds 1 beyond rounding")
-    np.clip(r, -1.0, 1.0, out=r)
-
-
-def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
-         options: ScanOptions = ScanOptions()) -> ScanResult:
-    """Evaluate r_c over every composition of the pair, canonical order.
-
-    Streams incidence blocks against the pair's segment table, so memory
-    stays bounded regardless of the composition count unless the full
-    distribution or clouds were requested.
-    """
-    if a.n != spec.n or b.n != spec.n:
-        raise ValueError(
-            f"scan spec expects n={spec.n}, series have {a.n} ({a.id!r}) and {b.n} ({b.id!r})"
-        )
-    table = SegmentTable.build(a, b, spec.m)
-    css_a, css_b, css_ab = table.arrays()
-
-    total = count_compositions(spec)
-    blocks = _blocks.blocks_for(spec.n, spec.m)
-    stream = blocks if blocks is not None else _blocks.iter_blocks(spec.n, spec.m)
-
-    best_val = -np.inf
-    best_idx = -1
-    worst_val = np.inf
-    worst_idx = -1
-    pearson = np.nan
-    undefined = 0
-    keep_values = options.distribution or options.clouds
-    values = np.empty(total, dtype=np.float64) if keep_values else None
-    cloud_cols = np.empty((total, 3), dtype=np.float64) if options.clouds else None
-
-    for block in stream:
-        M = block.matrix
-        va = M.dot(css_a)
-        vb = M.dot(css_b)
-        cov = M.dot(css_ab)
-        undef = (va == 0.0) | (vb == 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = cov / np.sqrt(va * vb)
-        r[undef] = np.nan
-        _clamp_block(r)
-        undefined += int(undef.sum())
-
-        if not np.all(undef):
-            masked = np.where(undef, -np.inf, r)
-            i = int(np.argmax(masked))
-            if masked[i] > best_val:
-                best_val = float(masked[i])
-                best_idx = block.offset + i
-            masked = np.where(undef, np.inf, r)
-            i = int(np.argmin(masked))
-            if masked[i] < worst_val:
-                worst_val = float(masked[i])
-                worst_idx = block.offset + i
-
-        if block.offset + block.count == total:
-            pearson = float(r[-1])
-        if values is not None:
-            values[block.offset:block.offset + block.count] = r
-        if cloud_cols is not None:
-            seg = cloud_cols[block.offset:block.offset + block.count]
-            seg[:, 0] = va
-            seg[:, 1] = vb
-            seg[:, 2] = cov
-
-    evaluated = total - undefined
-    clouds = None
-    if cloud_cols is not None:
-        clouds = np.column_stack([values, cloud_cols / spec.n])
-    return ScanResult(
-        id_a=a.id,
-        id_b=b.id,
-        spec=spec,
-        hcc=best_val if best_idx >= 0 else None,
-        lcc=worst_val if worst_idx >= 0 else None,
-        pearson=None if np.isnan(pearson) else pearson,
-        bcc=composition_at(spec, best_idx) if best_idx >= 0 else None,
-        wcc=composition_at(spec, worst_idx) if worst_idx >= 0 else None,
-        n_compositions=total,
-        n_evaluated=evaluated,
-        n_undefined=undefined,
-        values=values,
-        clouds=clouds,
-    )

@@ -1,12 +1,18 @@
-"""Batch scanning: every pair of a dataset, a pair list, or series vs time.
+"""The scan kernel and every entry point: one pair, a pair list, all pairs, series vs time.
 
-The engine vectorizes across pairs.  Per-series segment sums and flushed
-variance contributions are precomputed once; a chunk of pair indices then
-needs only the cross prefix sums of its rows, three sparse products with
-the composition incidence blocks, and running extreme bookkeeping.  Chunk
-boundaries are fixed in pair-index space (never derived from the worker
-count), results are reassembled in submission order, and every array
-operation is row- or column-independent, so output files are
+One kernel scans every pair, whichever entry point asks.  ``_Ctx`` holds
+the rows of a run; the process that runs the kernel builds their window
+deviations, flushed self sums and (for runs of many pairs) per-composition
+variance sums once.  ``_scan_span`` then scans row i against a span of
+rows: two-pass cross sums from the deviation table, three sparse products
+with the composition incidence blocks (cached, or streamed per span when
+too large to cache), the one clamp, and vectorized extreme tracking.
+``scan`` is a one-pair span, so ``pair``, ``clouds``, ``all-pairs`` and
+``time-corr`` give bit-identical answers for the same pair.
+
+Chunk boundaries are fixed in pair-index space (never derived from the
+worker count), results are reassembled in submission order, and every
+array operation is row- or column-independent, so output files are
 byte-identical no matter how many workers run.
 
 Records pass through an optional conjunctive filter (comparisons on hcc,
@@ -25,14 +31,15 @@ import numpy as np
 
 from . import _blocks
 from .compositions import CompositionSpec, composition_at, count_compositions
-from .corr import ScanOptions, ScanResult, UNIT_EXCESS_TOL, scan
+from .corr import ScanOptions, ScanResult, UNIT_EXCESS_TOL
 from .datasets import Dataset
 from .segments import (
     ConsistencyError,
     TimeSeries,
-    segment_bounds,
+    segment_cross_css,
     series_segment_css,
     series_segment_sums,
+    window_deviations,
 )
 
 CHUNK_PAIRS = 8192          # fixed chunk width in pair-index space
@@ -192,7 +199,11 @@ def _runs(S: int, lo: int, hi: int):
 # vectorized chunk evaluation
 
 class _Ctx:
-    """Everything a worker needs; pickled once per worker at pool start."""
+    """Everything a worker needs; pickled once per worker at pool start.
+
+    The per-row tables are left to :meth:`load`, which runs in the process
+    that runs the kernel, so a pool's parent never holds them.
+    """
 
     def __init__(self, X: np.ndarray, m: int):
         S, n = X.shape
@@ -200,25 +211,21 @@ class _Ctx:
         self.S = S
         self.n = n
         self.m = m
+        self.X = X
         self.ncomp = count_compositions(self.spec)
-        blocks = _blocks.blocks_for(n, m)
-        if blocks is None:
-            raise ValueError("composition structure too large for the vectorized engine")
-        self.blocks = blocks
-        Xc = X - X.mean(axis=1, keepdims=True)
-        self.Xc = Xc
-        self.css, self.zmask = series_segment_css(Xc, m, X)
-        self.s1 = series_segment_sums(Xc, m)
-        starts, lengths = segment_bounds(n, m)
-        self.seg_starts = starts
-        self.seg_ends = starts + lengths
-        self.inv_len = 1.0 / lengths
-        self.j_step = max(1, _CELL_BUDGET // max(blk.count for blk in blocks))
-        if S * self.ncomp <= _VAR_SUM_BUDGET:
-            self.var_sums = np.hstack([blk.matrix.dot(self.css.T).T for blk in blocks])
-        else:
-            self.var_sums = None
+        self.blocks = _blocks.blocks_for(n, m)  # None: streamed per span
+        self.j_step = max(1, _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS))
+        self.var_sums = None
         self.filter: tuple[FilterClause, ...] = ()
+
+    def load(self) -> "_Ctx":
+        self.dev = window_deviations(self.X, series_segment_sums(self.X, self.m))
+        self.css, self.zmask = series_segment_css(self.X, self.dev)
+        # a row's variance sums recur in every pair it takes part in; with
+        # two rows there is one pair and nothing to reuse
+        if self.S > 2 and self.blocks is not None and self.S * self.ncomp <= _VAR_SUM_BUDGET:
+            self.var_sums = np.hstack([blk.matrix.dot(self.css.T).T for blk in self.blocks])
+        return self
 
 
 _CTX: _Ctx | None = None
@@ -226,30 +233,29 @@ _CTX: _Ctx | None = None
 
 def _set_ctx(ctx: _Ctx) -> None:
     global _CTX
-    _CTX = ctx
+    _CTX = ctx.load()
 
 
 def _cross_css(ctx: _Ctx, i: int, j0: int, j1: int) -> np.ndarray:
-    B = ctx.Xc[j0:j1]
-    P = ctx.Xc[i][None, :] * B
-    prefix = np.zeros((j1 - j0, ctx.n + 1), dtype=np.float64)
-    np.cumsum(P, axis=1, out=prefix[:, 1:])
-    cross = prefix[:, ctx.seg_ends] - prefix[:, ctx.seg_starts]
-    cross -= (ctx.s1[i] * ctx.inv_len)[None, :] * ctx.s1[j0:j1]
-    cross[ctx.zmask[i][None, :] | ctx.zmask[j0:j1]] = 0.0
-    return cross
+    return segment_cross_css(ctx.dev, ctx.zmask, i, j0, j1)
 
 
 def _clamp(r: np.ndarray) -> None:
+    # NaN marks Undefined and passes through untouched
     with np.errstate(invalid="ignore"):
         bad = np.abs(r) - 1.0 > UNIT_EXCESS_TOL
     if np.any(bad):
-        raise ConsistencyError("correlation magnitude exceeds 1 beyond rounding")
+        worst = float(np.nanmax(np.abs(r)))
+        raise ConsistencyError(f"correlation magnitude {worst!r} exceeds 1 beyond rounding")
     np.clip(r, -1.0, 1.0, out=r)
 
 
-def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int):
-    """Scan pairs (i, j) for j in [j0, j1); returns per-pair result arrays."""
+def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
+    """Scan pairs (i, j) for j in [j0, j1); returns per-pair result arrays.
+
+    For a one-pair span, ``values`` (ncomp,) receives every composition's
+    r_c and ``sums`` (ncomp, 3) its (var_a, var_b, cov) sums, when given.
+    """
     J = j1 - j0
     css_ab = _cross_css(ctx, i, j0, j1)
     best = np.full(J, -np.inf)
@@ -259,7 +265,7 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int):
     pe = np.full(J, np.nan)
     undef_count = 0
 
-    for blk in ctx.blocks:
+    for blk in ctx.blocks or _blocks.iter_blocks(ctx.n, ctx.m):
         M = blk.matrix
         lo, hi = blk.offset, blk.offset + blk.count
         if ctx.var_sums is not None:
@@ -275,6 +281,10 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int):
         r[undef] = np.nan
         _clamp(r)
         undef_count += int(undef.sum())
+        if values is not None:
+            values[lo:hi] = r[:, 0]
+        if sums is not None:
+            sums[lo:hi] = np.column_stack([va, vb[:, 0], cov[:, 0]])
 
         masked = np.where(undef, -np.inf, r)
         arg = masked.argmax(axis=0)
@@ -392,10 +402,6 @@ def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None) -> R
     S = len(dataset)
     if S < 2:
         raise ValueError(f"all-pairs run needs at least 2 series, dataset has {S}")
-    spec = CompositionSpec(dataset.n, config.m)
-    if _blocks.blocks_for(spec.n, spec.m) is None:
-        return _fallback_all_pairs(dataset, config, sink, progress)
-
     ctx = _Ctx(dataset.matrix, config.m)
     ctx.filter = config.filter
     ids = dataset.ids()
@@ -435,54 +441,6 @@ def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None) -> R
     )
 
 
-def _fallback_all_pairs(dataset, config, sink, progress) -> RunSummary:
-    # composition structure too large to materialize: stream per-pair scans
-    ids = dataset.ids()
-    S = len(dataset)
-    total = S * (S - 1) // 2
-    t0 = time.perf_counter()
-    done = 0
-    emitted = 0
-    undefined = 0
-    batch: list[PairRecord] = []
-    for i in range(S):
-        for j in range(i + 1, S):
-            res = scan(dataset.series[i], dataset.series[j], CompositionSpec(dataset.n, config.m))
-            undefined += res.n_undefined
-            rec = PairRecord(ids[i], ids[j], res.hcc, res.pearson, res.lcc, res.bcc, res.wcc)
-            done += 1
-            if _accept(config.filter, rec):
-                batch.append(rec)
-                emitted += 1
-            if len(batch) >= 256:
-                sink(batch)
-                batch = []
-            if progress is not None and done % CHUNK_PAIRS == 0:
-                progress(done, total)
-    if batch:
-        sink(batch)
-    if progress is not None:
-        progress(done, total)
-    wall = time.perf_counter() - t0
-    return RunSummary(done, emitted, undefined, wall, done / wall if wall > 0 else float("inf"),
-                      config.workers)
-
-
-def _accept(clauses, rec: PairRecord) -> bool:
-    for c in clauses:
-        if c.field == "abs(pearson)":
-            val = None if rec.pearson is None else abs(rec.pearson)
-        else:
-            val = getattr(rec, c.field)
-        if val is None:
-            return False
-        ok = {"<": val < c.value, ">": val > c.value,
-              "<=": val <= c.value, ">=": val >= c.value}[c.op]
-        if not ok:
-            return False
-    return True
-
-
 def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> list[PairRecord]:
     """Scan each series against time; one record per series, dataset order.
 
@@ -494,18 +452,7 @@ def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> list[
         t = TimeSeries(TIME_ID, np.asarray(dataset.time_labels, dtype=np.float64))
     else:
         t = TimeSeries(TIME_ID, np.arange(dataset.n, dtype=np.float64))
-    spec = CompositionSpec(dataset.n, config.m)
     ids = dataset.ids()
-
-    if _blocks.blocks_for(spec.n, spec.m) is None:
-        records = []
-        for s in dataset.series:
-            res = scan(s, t, spec)
-            rec = PairRecord(s.id, TIME_ID, res.hcc, res.pearson, res.lcc, res.bcc, res.wcc)
-            if _accept(config.filter, rec):
-                records.append(rec)
-        return records
-
     ctx = _Ctx(np.vstack([t.values[None, :], dataset.matrix]), config.m)
     ctx.filter = config.filter
     unrank = _Unranker(ctx.spec)
@@ -526,6 +473,28 @@ def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> list[
     return records
 
 
+def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
+         options: ScanOptions = ScanOptions()) -> ScanResult:
+    """Evaluate r_c over every composition of the pair, canonical order.
+
+    One span of the batch kernel, so the answers are bit-identical to every
+    other entry point's for the same pair.  Memory stays bounded by the
+    block size unless the full distribution or clouds were requested.
+    """
+    if a.n != spec.n or b.n != spec.n:
+        raise ValueError(
+            f"scan spec expects n={spec.n}, series have {a.n} ({a.id!r}) and {b.n} ({b.id!r})"
+        )
+    ctx = _Ctx(np.vstack([a.values, b.values]), spec.m).load()
+    values = np.empty(ctx.ncomp) if options.distribution or options.clouds else None
+    sums = np.empty((ctx.ncomp, 3)) if options.clouds else None
+    hcc, pe, lcc, bi, wi, undefined = _scan_span(ctx, 0, 1, 2, values, sums)
+    return ScanResult.from_kernel(
+        a, b, spec, hcc[0], lcc[0], pe[0], int(bi[0]), int(wi[0]), undefined, values,
+        None if sums is None else np.column_stack([values, sums / spec.n]),
+    )
+
+
 def run_pair(dataset: Dataset, id_a: str, id_b: str, m: int,
              options: ScanOptions = ScanOptions()) -> ScanResult:
     """Full scan of one named pair."""
@@ -534,10 +503,18 @@ def run_pair(dataset: Dataset, id_a: str, id_b: str, m: int,
 
 def run_pair_list(dataset: Dataset, pairs, config: JobConfig) -> list[PairRecord]:
     """Scan an explicit list of (id_a, id_b), preserving list order."""
-    records = []
-    for id_a, id_b in pairs:
-        res = run_pair(dataset, id_a, id_b, config.m)
-        rec = PairRecord(id_a, id_b, res.hcc, res.pearson, res.lcc, res.bcc, res.wcc)
-        if _accept(config.filter, rec):
-            records.append(rec)
-    return records
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    names = list(dict.fromkeys(name for pair in pairs for name in pair))
+    row = {name: k for k, name in enumerate(names)}
+    ctx = _Ctx(np.vstack([dataset.get(name).values for name in names]), config.m).load()
+    spans = [_scan_span(ctx, row[a], row[b], row[b] + 1) for a, b in pairs]
+    hcc, pe, lcc, bi, wi = (np.concatenate(col) for col in list(zip(*spans))[:5])
+    keep = _filter_mask(config.filter, hcc, pe, lcc)
+    unrank = _Unranker(ctx.spec)
+    return [
+        PairRecord(a, b, _as_float(h), _as_float(p), _as_float(l), unrank(int(bc)), unrank(int(wc)))
+        for (a, b), k, h, p, l, bc, wc in zip(pairs, keep, hcc, pe, lcc, bi, wi)
+        if k
+    ]

@@ -1,7 +1,7 @@
-"""Centered sums over every contiguous segment of a series pair.
+"""Centered sums over every contiguous segment: the numeric backbone of the scan kernel.
 
 A segment is a run of at least ``m`` consecutive observations.  For a pair
-of equal-length series the table holds, per segment, the centered sums
+of equal-length series the kernel needs, per segment, the centered sums
 
     css_a  = sum (a_i - mean_a)^2        over the segment
     css_b  = sum (b_i - mean_b)^2
@@ -11,10 +11,15 @@ where the means are the segment's own.  Compositional variance and
 covariance are sums of these contributions over the parts of a
 composition, so one table answers every composition of the pair.
 
-Each segment is computed two-pass from its own window (mean, then
-deviation products).  That keeps every contribution local: perturbing one
-observation leaves the css values of segments not containing it
-bit-identical, and the self sums are nonnegative by construction.
+``series_segment_sums`` and ``window_deviations`` build the deviations of
+every window of every row from the window's own mean, once per process;
+``series_segment_css`` (self sums, with the one zero-flush rule) and
+``segment_cross_css`` (cross sums) both reduce that table.  Each sum is
+two-pass within its own window, on the raw values, and each reduction is
+per element or per window.  So a contribution depends only on its window
+(perturbing an observation outside it leaves it bit-identical), not on
+which other rows share the table, and the self sums are nonnegative.
+:class:`SegmentTable` is the one-pair public view of the same builder.
 """
 from __future__ import annotations
 
@@ -122,22 +127,60 @@ def segment_max_sq(anchor: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def series_segment_css(X: np.ndarray, m: int, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def series_segment_sums(X: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Plain sums of every window of each row of X (k, n), one (k, n-L+1) array per length L = m..n.
+
+    Each window's sum accumulates left to right (sum(s, L) = sum(s, L-1) +
+    x[s+L-1]), elementwise across windows and rows, so it is a function of
+    its window's values alone.
+    """
+    sums = []
+    total = X
+    for length in range(2, X.shape[1] + 1):
+        total = total[:, :-1] + X[:, length - 1:]
+        if length >= m:
+            sums.append(total)
+    return tuple(sums)
+
+
+def window_deviations(X: np.ndarray, sums: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Deviations of every window from its own mean, one (k, n-L+1, L) array per length.
+
+    ``sums`` is ``series_segment_sums`` of X: this is the second pass.
+    """
+    m = X.shape[1] - len(sums) + 1
+    return tuple(sliding_window_view(X, length, axis=1) - (total / length)[:, :, None]
+                 for length, total in enumerate(sums, start=m))
+
+
+@lru_cache(maxsize=32)
+def _length_major(n: int, m: int) -> np.ndarray:
+    # for each flat (start-major) segment id, its position in length-major order
+    return np.argsort(np.concatenate([_ids_for_length(n, m, length) for length in range(m, n + 1)]))
+
+
+def _window_dot(dev: tuple[np.ndarray, ...], rows, i) -> np.ndarray:
+    # (rows, nseg) dot products of the deviations of rows and row(s) i over
+    # each window; each is one contiguous length-L reduction, the same
+    # whichever rows are reduced alongside it
+    m = dev[0].shape[2]
+    n = m + len(dev) - 1
+    spec = "jsl,jsl->js" if isinstance(i, slice) else "jsl,sl->js"
+    return np.concatenate([np.einsum(spec, d[rows], d[i]) for d in dev], axis=1)[:, _length_major(n, m)]
+
+
+def series_segment_css(X: np.ndarray, dev: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Per-row self css over every segment, with the zero floor applied.
 
-    X is (k, n); returns (css, zero_mask), both (k, nseg).  ``anchor`` is
-    the original (uncentered) data of the same shape, whose per-segment
-    magnitude sets the flush floor even when X itself was centered.
+    ``dev`` is ``window_deviations`` of X (k, n); returns (css, zero_mask),
+    both (k, nseg).  A segment at or below the floor is flushed to exactly
+    0 and marked, and the cross sums of every pair it takes part in follow.
     """
-    k, n = X.shape
-    nseg = segment_count(n, m)
-    css = np.empty((k, nseg), dtype=np.float64)
-    for length in range(m, n + 1):
-        win = sliding_window_view(X, length, axis=1)
-        dev = win - win.mean(axis=2, keepdims=True)
-        css[:, _ids_for_length(n, m, length)] = np.einsum("kij,kij->ki", dev, dev)
-    _, lengths = segment_bounds(n, m)
-    scale = segment_max_sq(anchor, m) * lengths[None, :]
+    m = dev[0].shape[2]
+    rows = slice(None)
+    css = _window_dot(dev, rows, rows)
+    _, lengths = segment_bounds(X.shape[1], m)
+    scale = segment_max_sq(X, m) * lengths[None, :]
     if np.any(css < -NEGATIVE_GUARD_REL * scale):
         raise ConsistencyError("segment variance sum fell below the rounding guard")
     zero = css <= ZERO_FLOOR_REL * scale
@@ -145,20 +188,22 @@ def series_segment_css(X: np.ndarray, m: int, anchor: np.ndarray) -> tuple[np.nd
     return css, zero
 
 
-def series_segment_sums(X: np.ndarray, m: int) -> np.ndarray:
-    """Per-row plain sums over every segment of X (k, n), via prefix sums."""
-    k, n = X.shape
-    prefix = np.zeros((k, n + 1), dtype=np.float64)
-    np.cumsum(X, axis=1, out=prefix[:, 1:])
-    starts, lengths = segment_bounds(n, m)
-    return prefix[:, starts + lengths] - prefix[:, starts]
+def segment_cross_css(dev: tuple[np.ndarray, ...], zero: np.ndarray, i: int, j0: int, j1: int) -> np.ndarray:
+    """Cross css of row i with each of rows j0..j1-1, (j1 - j0, nseg).
+
+    A segment flushed on either side contributes no cross term, so
+    per-segment Cauchy-Schwarz survives the flush.
+    """
+    cross = _window_dot(dev, slice(j0, j1), i)
+    cross[zero[i][None, :] | zero[j0:j1]] = 0.0
+    return cross
 
 
 class SegmentTable:
     """All per-segment centered sums for one pair of series.
 
-    Build once with :meth:`build`, then query any segment in O(1) or take
-    the whole flat arrays for vectorized composition scans.
+    Build once with :meth:`build` (the scan kernel's own builder, on the
+    two rows), then query any segment in O(1) or take the flat arrays.
     """
 
     __slots__ = ("id_a", "id_b", "n", "m", "css_a", "css_b", "css_ab", "zero_a", "zero_b")
@@ -185,29 +230,11 @@ class SegmentTable:
             raise ValueError(f"minimum part length must be at least 2, got m={m}")
         if n < m:
             raise ValueError(f"series of length {n} cannot hold a part of length m={m}")
-
-        va, vb = a.values, b.values
-        nseg = segment_count(n, m)
-        css_a = np.empty(nseg, dtype=np.float64)
-        css_b = np.empty(nseg, dtype=np.float64)
-        css_ab = np.empty(nseg, dtype=np.float64)
-        for length in range(m, n + 1):
-            ids = _ids_for_length(n, m, length)
-            wa = sliding_window_view(va, length)
-            wb = sliding_window_view(vb, length)
-            da = wa - wa.mean(axis=1, keepdims=True)
-            db = wb - wb.mean(axis=1, keepdims=True)
-            css_a[ids] = np.einsum("ij,ij->i", da, da)
-            css_b[ids] = np.einsum("ij,ij->i", db, db)
-            css_ab[ids] = np.einsum("ij,ij->i", da, db)
-
-        _, lengths = segment_bounds(n, m)
-        zero_a = _flush_self(css_a, lengths, segment_max_sq(va, m)[0])
-        zero_b = _flush_self(css_b, lengths, segment_max_sq(vb, m)[0])
-        # a flushed side means "constant within precision"; zero the cross
-        # term with it so per-segment Cauchy-Schwarz survives the flush
-        css_ab[zero_a | zero_b] = 0.0
-        return cls(a.id, b.id, n, m, css_a, css_b, css_ab, zero_a, zero_b)
+        X = np.vstack([a.values, b.values])
+        dev = window_deviations(X, series_segment_sums(X, m))
+        css, zero = series_segment_css(X, dev)
+        css_ab = segment_cross_css(dev, zero, 0, 1, 2)[0]
+        return cls(a.id, b.id, n, m, css[0], css[1], css_ab, zero[0], zero[1])
 
     def segment_contrib(self, start: int, length: int) -> tuple[float, float, float]:
         """(css_a, css_b, css_ab) for the segment at ``start`` of ``length``."""
@@ -217,12 +244,3 @@ class SegmentTable:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The three flat per-segment vectors, start-major order."""
         return self.css_a, self.css_b, self.css_ab
-
-
-def _flush_self(css: np.ndarray, lengths: np.ndarray, max_sq: np.ndarray) -> np.ndarray:
-    scale = max_sq * lengths
-    if np.any(css < -NEGATIVE_GUARD_REL * scale):
-        raise ConsistencyError("segment variance sum fell below the rounding guard")
-    zero = css <= ZERO_FLOOR_REL * scale
-    css[zero] = 0.0
-    return zero

@@ -23,9 +23,9 @@ from compcorr.compositions import (
     count_compositions,
     enumerate_compositions,
 )
-from compcorr.corr import ScanOptions, comp_correlation, comp_covariance, comp_variance, scan
+from compcorr.corr import ScanOptions, comp_correlation, comp_covariance, comp_variance
 from compcorr.datasets import Dataset, SynthSpec, generate, load_dataset
-from compcorr.engine import JobConfig, record_line, run_all_pairs, run_versus_time
+from compcorr.engine import JobConfig, record_line, run_all_pairs, run_versus_time, scan
 from compcorr.segments import TimeSeries
 
 GENE_DATA = os.environ.get("COMPCORR_GENE_DATA", "")

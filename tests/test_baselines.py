@@ -141,10 +141,11 @@ def test_report_for_pair():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the CLI's start-up time; only spearman needs it
+    # scipy.stats and scipy.sparse are most of the CLI's start-up time; only
+    # spearman needs the one and only block assembly the other
     src = str(Path(compcorr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, compcorr.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, compcorr.cli; print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -9,7 +9,8 @@ import pytest
 from compcorr import cli
 from compcorr.cli import _default_workers, _guarded_output, _write_distribution, build_parser, main
 from compcorr.compositions import CompositionSpec, prefix_runs, tail_cap
-from compcorr.corr import ScanOptions, scan
+from compcorr.corr import ScanOptions
+from compcorr.engine import scan
 from compcorr.datasets import Dataset, write_dataset
 from compcorr.engine import format_composition, format_number
 from compcorr.segments import TimeSeries

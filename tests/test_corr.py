@@ -8,8 +8,8 @@ from compcorr.corr import (
     comp_covariance,
     comp_std,
     comp_variance,
-    scan,
 )
+from compcorr.engine import scan
 from compcorr.segments import TimeSeries
 
 

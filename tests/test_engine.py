@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from compcorr import _blocks, engine
 from compcorr.baselines import pearson
 from compcorr.compositions import CompositionSpec, enumerate_compositions
-from compcorr.corr import scan
+from compcorr.corr import comp_correlation
 from compcorr.datasets import Dataset
 from compcorr.engine import (
     RECORD_HEADER,
@@ -18,6 +19,7 @@ from compcorr.engine import (
     run_pair,
     run_pair_list,
     run_versus_time,
+    scan,
 )
 from compcorr.segments import TimeSeries
 
@@ -110,6 +112,10 @@ def test_filter_excludes_undefined_records():
     )
     kept, _ = collect(ds, JobConfig(m=4, filter=parse_filter("lcc < 1")))
     assert kept == []  # undefined never satisfies a comparison
+    ds = Dataset(series=ds.series + toy_dataset(S=1).series)
+    for text in ("hcc > -1", "abs(pearson) < 1"):
+        kept = run_pair_list(ds, [("flat", "g"), ("g", "g0")], JobConfig(m=4, filter=parse_filter(text)))
+        assert [(r.id_a, r.id_b) for r in kept] == [("g", "g0")]
 
 
 def test_progress_callback_sees_all_pairs():
@@ -237,6 +243,28 @@ def test_versus_time_respects_filter():
     assert [r.id_a for r in kept] == want
 
 
+@pytest.mark.parametrize("n, m", [(13, 2), (23, 4)])
+def test_streamed_blocks_match_cached_blocks(monkeypatch, n, m):
+    ds = toy_dataset(S=6, n=n)
+    cached, _ = collect(ds, JobConfig(m=m))
+    cached_time = run_versus_time(ds, JobConfig(m=m))
+    # nothing fits the cache, each span streams several blocks, and there
+    # are several chunks, so 2 workers run a pool
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)
+    monkeypatch.setattr(_blocks, "CACHE_NNZ_LIMIT", 0)
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 16)
+    _blocks.blocks_for.cache_clear()
+    try:
+        assert _blocks.blocks_for(n, m) is None
+        for workers in (1, 2):
+            streamed, summary = collect(ds, JobConfig(m=m, workers=workers))
+            assert streamed == cached
+            assert summary.pairs_scanned == len(cached)
+        assert run_versus_time(ds, JobConfig(m=m)) == cached_time
+    finally:
+        _blocks.blocks_for.cache_clear()
+
+
 # ----------------------------------------------------------- mixed scales
 
 def test_all_pairs_handles_mixed_magnitudes():
@@ -253,3 +281,55 @@ def test_all_pairs_handles_mixed_magnitudes():
         if r.hcc is not None:
             assert r.hcc == pytest.approx(res.hcc, abs=1e-10)
             assert r.bcc == res.bcc
+
+
+# ------------------------------------------------------ one kernel, one answer
+
+def adversarial_dataset(n, seed):
+    """Level steps on unit and 1e-3 noise, a large offset, step-constant
+    series and exact duplicates (near-ties in canonical order)."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    series = []
+    for k, step in enumerate((1e4, 1e5, 1e6, 1e7, 1e8)):
+        for noise in (1.0, 1e-3):
+            at = int(rng.integers(2, n - 2))
+            series.append(TimeSeries(f"s{k}_{noise:g}", rng.normal(size=n) * noise + step * (t >= at)))
+    series.append(TimeSeries("offset", rng.normal(size=n) + 1e6))
+    series.append(TimeSeries("stair", np.where(t < n // 2, 5.0, 8.0)))
+    series.append(TimeSeries("stair3", np.select([t < n // 3, t < 2 * n // 3], [1.0, -2.0], 4.0)))
+    series.append(TimeSeries("flat", np.full(n, 2.5)))
+    series.append(TimeSeries("dup", series[0].values.copy()))
+    series.append(TimeSeries("dup2", series[0].values.copy()))
+    return Dataset(series=tuple(series), name="adv")
+
+
+def as_tuple(r):
+    return (r.hcc, r.lcc, r.pearson, r.bcc, r.wcc)
+
+
+@pytest.mark.parametrize("n, m, seed", [(23, 4, 5), (13, 2, 6)])
+def test_every_entry_point_gives_the_same_bits(monkeypatch, n, m, seed):
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 16)  # several chunks, so 2 workers run a pool
+    ds = adversarial_dataset(n, seed)
+    ids = ds.ids()
+    pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
+    spec = CompositionSpec(n, m)
+    want = {(a, b): as_tuple(scan(ds.get(a), ds.get(b), spec)) for a, b in pairs}
+    assert {(a, b): as_tuple(run_pair(ds, a, b, m)) for a, b in pairs} == want
+    assert {(r.id_a, r.id_b): as_tuple(r) for r in run_pair_list(ds, pairs, JobConfig(m=m))} == want
+    for workers in (1, 2):
+        records, _ = collect(ds, JobConfig(m=m, workers=workers))
+        assert {(r.id_a, r.id_b): as_tuple(r) for r in records} == want
+
+    time = TimeSeries("time", np.arange(n, dtype=np.float64))
+    got = {r.id_a: as_tuple(r) for r in run_versus_time(ds, JobConfig(m=m))}
+    assert got == {s.id: as_tuple(scan(s, time, spec)) for s in ds.series}
+
+    # the kernel's extremes are the naive per-part oracle's values there
+    for (a, b), (hcc, lcc, pe, bcc, wcc) in want.items():
+        x, y = ds.get(a), ds.get(b)
+        assert (pe is None) == (comp_correlation(x, y, (n,)) is None)
+        for value, parts in ((hcc, bcc), (lcc, wcc), (pe, (n,))):
+            if value is not None:
+                assert value == pytest.approx(comp_correlation(x, y, parts), abs=1e-9)
