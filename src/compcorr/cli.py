@@ -27,11 +27,11 @@ from .engine import (
     format_composition,
     format_number,
     parse_filter,
-    record_line,
     run_all_pairs,
     run_pair,
     run_versus_time,
 )
+from .segments import ConsistencyError
 
 PROGRESS_EVERY = 10_000
 # Most compositions per distribution-file run.  The label table then holds a
@@ -229,25 +229,25 @@ def _cmd_all_pairs(args) -> int:
     )
     out = Path(args.output) if args.output else Path(f"Pairs.{ds.name}.n{spec.n}.m{spec.m}.tsv")
     p = args.precision
-    kept: list = []
+    kept: list[tuple[str, str]] = []
     with _guarded_output(out) as fh:
         fh.write(RECORD_HEADER + "\n")
 
         def sink(records):
-            for rec in records:
-                fh.write(record_line(rec, p) + "\n")
+            fh.write(records.text)
             if args.emit_distribution:
-                kept.extend(records)
+                ids = records.ids
+                kept.extend((ids[a], ids[b]) for a, b in zip(records.a.tolist(), records.b.tolist()))
 
-        summary = run_all_pairs(ds, config, sink, progress=_progress_printer("all-pairs"))
+        summary = run_all_pairs(ds, config, sink, progress=_progress_printer("all-pairs"),
+                                precision=p)
     print(f"wrote {out}")
     print(summary.describe())
     if args.emit_distribution:
         outdir = out.parent
-        for rec in kept:
-            res = run_pair(ds, rec.id_a, rec.id_b, args.min_part, ScanOptions(distribution=True))
-            _write_distribution(_distribution_path(outdir, ds.name, rec.id_a, rec.id_b, spec),
-                                res, p)
+        for id_a, id_b in kept:
+            res = run_pair(ds, id_a, id_b, args.min_part, ScanOptions(distribution=True))
+            _write_distribution(_distribution_path(outdir, ds.name, id_a, id_b, spec), res, p)
         print(f"wrote {len(kept)} distribution files to {outdir}")
     return 0
 
@@ -264,8 +264,7 @@ def _cmd_time_corr(args) -> int:
     records = run_versus_time(ds, config, progress=_progress_printer("time-corr"))
     with _guarded_output(out) as fh:
         fh.write(RECORD_HEADER + "\n")
-        for rec in records:
-            fh.write(record_line(rec, args.precision) + "\n")
+        fh.write(records.render(args.precision))
     print(f"wrote {out}: {len(records)} records "
           f"(labels {'from dataset' if ds.time_labels is not None else 'index 0..n-1'})")
     return 0
@@ -365,7 +364,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

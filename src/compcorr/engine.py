@@ -17,7 +17,13 @@ byte-identical no matter how many workers run.
 
 Records pass through an optional conjunctive filter (comparisons on hcc,
 lcc, pearson, abs(pearson)) before reaching the sink; Undefined never
-satisfies a comparison.
+satisfies a comparison.  A chunk's kept pairs travel as columns (row
+indices, hcc, pearson, lcc, and BCC and WCC as canonical composition
+indices).  Given a precision, the worker also renders them to text,
+through a label memo it keeps across its chunks, so the parent only
+writes.  The batch entry points hand their pairs out through
+:class:`Records`, which builds each ``PairRecord`` from the columns only
+when it is read.
 """
 from __future__ import annotations
 
@@ -25,6 +31,8 @@ import math
 import multiprocessing as mp
 import re
 import time
+from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +175,86 @@ def record_line(rec: PairRecord, precision: int = 6) -> str:
     )
 
 
+class _Parts(dict):
+    """Canonical composition index -> parts, memoised; -1 (none) -> None."""
+
+    def __init__(self, spec: CompositionSpec):
+        super().__init__({-1: None})
+        self.spec = spec
+
+    def __missing__(self, index: int) -> tuple[int, ...]:
+        got = self[index] = composition_at(self.spec, index)
+        return got
+
+
+class _Labels(dict):
+    """Canonical composition index -> label as format_composition writes it."""
+
+    def __init__(self, spec: CompositionSpec):
+        super().__init__()
+        self.parts = _Parts(spec)
+
+    def __missing__(self, index: int) -> str:
+        got = self[index] = format_composition(self.parts[index])
+        return got
+
+
+def _formatted(values: np.ndarray, spec: str) -> list[str]:
+    # NaN (x != x) marks Undefined
+    return ["NA" if x != x else format(x, spec) for x in values.tolist()]
+
+
+class Records(Sequence):
+    """Scanned pairs held as columns; each PairRecord is built on request.
+
+    ``a`` and ``b`` index ``ids`` for the two series of each pair; hcc,
+    pearson and lcc are NaN where Undefined, BCC and WCC canonical
+    composition indices (-1: none).  ``text`` is the rendered lines when
+    the run was given a precision, else None.
+    """
+
+    def __init__(self, ids, labels: _Labels, a, b, hcc, pearson, lcc, bcc, wcc,
+                 text: str | None = None):
+        self.ids = ids
+        self.labels = labels
+        self.a, self.b = a, b
+        self.columns = (a, b, hcc, pearson, lcc, bcc, wcc)
+        self.text = text
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, k: int) -> PairRecord:
+        k = range(len(self))[k]  # negative indices and IndexError as for a list
+        return next(self._records([col[k:k + 1] for col in self.columns]))
+
+    def __iter__(self):
+        return self._records(self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (Records, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _records(self, columns):
+        ids, parts = self.ids, self.labels.parts
+        for a, b, h, p, l, bc, wc in zip(*(col.tolist() for col in columns)):
+            yield PairRecord(ids[a], ids[b], None if h != h else h, None if p != p else p,
+                             None if l != l else l, parts[bc], parts[wc])
+
+    def render(self, precision: int) -> str:
+        """One line per record, as record_line writes it, each ending in a newline."""
+        spec = f".{precision}f"
+        ids, labels = self.ids, self.labels
+        a, b, hcc, pe, lcc, bi, wi = self.columns
+        return "".join([
+            f"{ids[x]}\t{ids[y]}\t{h}\t{p}\t{l}\t{labels[bc]}\t{labels[wc]}\n"
+            for x, y, h, p, l, bc, wc in zip(
+                a.tolist(), b.tolist(), _formatted(hcc, spec), _formatted(pe, spec),
+                _formatted(lcc, spec), bi.tolist(), wi.tolist())
+        ])
+
+
 # ---------------------------------------------------------------------------
 # pair-index triangle
 
@@ -216,7 +304,10 @@ class _Ctx:
         self.blocks = _blocks.blocks_for(n, m)  # None: streamed per span
         self.j_step = max(1, _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS))
         self.var_sums = None
+        self.ids: tuple[str, ...] = ()  # one per row, to name records
+        self.labels = _Labels(self.spec)
         self.filter: tuple[FilterClause, ...] = ()
+        self.precision: int | None = None  # render kept records when set
 
     def load(self) -> "_Ctx":
         self.dev = window_deviations(self.X, series_segment_sums(self.X, self.m))
@@ -318,44 +409,36 @@ def _filter_mask(clauses, hcc, pe, lcc) -> np.ndarray:
     return mask
 
 
+def _scan_columns(ctx: _Ctx, spans):
+    """Scan spans (i, j0, j1) in turn; the columns (a, b, hcc, pearson, lcc,
+    bcc, wcc) of the pairs that pass ``ctx.filter``, and the Undefined count."""
+    parts = []
+    undefined = 0
+    for i, j0, j1 in spans:
+        hcc, pe, lcc, bi, wi, undef = _scan_span(ctx, i, j0, j1)
+        undefined += undef
+        parts.append((np.full(j1 - j0, i, dtype=np.int64), np.arange(j0, j1, dtype=np.int64),
+                      hcc, pe, lcc, bi, wi))
+    columns = [np.concatenate(col) for col in zip(*parts)]
+    keep = _filter_mask(ctx.filter, *columns[2:5])
+    return tuple(col[keep] for col in columns), undefined
+
+
 def _chunk_worker(rg: tuple[int, int]):
+    """Scan one chunk: (pairs, undefined, a, b, hcc, pearson, lcc, bcc, wcc,
+    text), the text rendered only when ``ctx.precision`` is set."""
     ctx = _CTX
     lo, hi = rg
-    parts_i, parts_j = [], []
-    parts_hcc, parts_pe, parts_lcc = [], [], []
-    parts_bi, parts_wi = [], []
-    undef_total = 0
-    for i, j0, j1 in _runs(ctx.S, lo, hi):
-        for js in range(j0, j1, ctx.j_step):
-            je = min(j1, js + ctx.j_step)
-            hcc, pe, lcc, bi, wi, undef = _scan_span(ctx, i, js, je)
-            undef_total += undef
-            parts_i.append(np.full(je - js, i, dtype=np.int64))
-            parts_j.append(np.arange(js, je, dtype=np.int64))
-            parts_hcc.append(hcc)
-            parts_pe.append(pe)
-            parts_lcc.append(lcc)
-            parts_bi.append(bi)
-            parts_wi.append(wi)
-    i_arr = np.concatenate(parts_i)
-    j_arr = np.concatenate(parts_j)
-    hcc = np.concatenate(parts_hcc)
-    pe = np.concatenate(parts_pe)
-    lcc = np.concatenate(parts_lcc)
-    bi = np.concatenate(parts_bi)
-    wi = np.concatenate(parts_wi)
-    keep = _filter_mask(ctx.filter, hcc, pe, lcc)
-    return (
-        hi - lo,
-        undef_total,
-        i_arr[keep],
-        j_arr[keep],
-        hcc[keep],
-        pe[keep],
-        lcc[keep],
-        bi[keep],
-        wi[keep],
+    spans = (
+        (i, js, min(j1, js + ctx.j_step))
+        for i, j0, j1 in _runs(ctx.S, lo, hi)
+        for js in range(j0, j1, ctx.j_step)
     )
+    columns, undefined = _scan_columns(ctx, spans)
+    text = None
+    if ctx.precision is not None:
+        text = Records(ctx.ids, ctx.labels, *columns).render(ctx.precision)
+    return (hi - lo, undefined, *columns, text)
 
 
 def _chunk_results(ctx: _Ctx, ranges, workers: int):
@@ -368,34 +451,22 @@ def _chunk_results(ctx: _Ctx, ranges, workers: int):
         yield from pool.imap(_chunk_worker, ranges)
 
 
-def _as_float(x: float) -> float | None:
-    return None if np.isnan(x) else float(x)
-
-
-class _Unranker:
-    """Memoized canonical-index -> composition lookup."""
-
-    def __init__(self, spec: CompositionSpec):
-        self.spec = spec
-        self.cache: dict[int, tuple[int, ...]] = {}
-
-    def __call__(self, idx: int) -> tuple[int, ...] | None:
-        if idx < 0:
-            return None
-        got = self.cache.get(idx)
-        if got is None:
-            got = self.cache[idx] = composition_at(self.spec, idx)
-        return got
-
-
 # ---------------------------------------------------------------------------
 # public runs
 
-def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None) -> RunSummary:
+def _chunk_ranges(total: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + CHUNK_PAIRS, total)) for lo in range(0, total, CHUNK_PAIRS)]
+
+
+def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None,
+                  precision: int | None = None) -> RunSummary:
     """Scan every unordered pair of the dataset, in canonical pair order.
 
-    ``sink`` is called with lists of PairRecord (the pairs that passed the
-    filter), in deterministic order regardless of ``config.workers``.
+    ``sink`` is called once per chunk with a :class:`Records` of the pairs
+    that passed the filter, a sequence of PairRecord built as it is read,
+    in deterministic order regardless of ``config.workers``.  With a
+    ``precision``, the workers also render each chunk, and its ``text``
+    holds the lines :func:`record_line` writes at that precision.
     ``progress`` (optional) is called as progress(done_pairs, total_pairs)
     as chunks complete.
     """
@@ -403,33 +474,25 @@ def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None) -> R
     if S < 2:
         raise ValueError(f"all-pairs run needs at least 2 series, dataset has {S}")
     ctx = _Ctx(dataset.matrix, config.m)
+    ctx.ids = tuple(dataset.ids())
     ctx.filter = config.filter
-    ids = dataset.ids()
-    unrank = _Unranker(ctx.spec)
+    ctx.precision = precision
     total = S * (S - 1) // 2
-    ranges = [(lo, min(lo + CHUNK_PAIRS, total)) for lo in range(0, total, CHUNK_PAIRS)]
 
     t0 = time.perf_counter()
     done = 0
     emitted = 0
     undefined = 0
-    for payload in _chunk_results(ctx, ranges, config.workers):
-        npairs, undef, i_arr, j_arr, hcc, pe, lcc, bi, wi = payload
-        done += npairs
-        undefined += undef
-        records = [
-            PairRecord(
-                ids[i], ids[j],
-                _as_float(h), _as_float(p), _as_float(l),
-                unrank(int(b)), unrank(int(w)),
-            )
-            for i, j, h, p, l, b, w in zip(i_arr, j_arr, hcc, pe, lcc, bi, wi)
-        ]
-        emitted += len(records)
-        if records:
-            sink(records)
-        if progress is not None:
-            progress(done, total)
+    with closing(_chunk_results(ctx, _chunk_ranges(total), config.workers)) as chunks:
+        for npairs, undef, *columns, text in chunks:
+            done += npairs
+            undefined += undef
+            records = Records(ctx.ids, ctx.labels, *columns, text=text)
+            emitted += len(records)
+            if records:
+                sink(records)
+            if progress is not None:
+                progress(done, total)
     wall = time.perf_counter() - t0
     return RunSummary(
         pairs_scanned=done,
@@ -441,36 +504,32 @@ def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None) -> R
     )
 
 
-def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> list[PairRecord]:
+def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> Records:
     """Scan each series against time; one record per series, dataset order.
 
     Uses the dataset's time labels when present, otherwise the index grid
     0..n-1.  Compositional correlation is invariant to affine time
-    relabeling, so for evenly spaced labels the two agree.
+    relabeling, so for evenly spaced labels the two agree.  Each record
+    names the series first and time second.
     """
     if dataset.time_labels is not None:
         t = TimeSeries(TIME_ID, np.asarray(dataset.time_labels, dtype=np.float64))
     else:
         t = TimeSeries(TIME_ID, np.arange(dataset.n, dtype=np.float64))
-    ids = dataset.ids()
     ctx = _Ctx(np.vstack([t.values[None, :], dataset.matrix]), config.m)
+    ctx.ids = (TIME_ID, *dataset.ids())
     ctx.filter = config.filter
-    unrank = _Unranker(ctx.spec)
     total = len(dataset)  # pair indices 0..S-1 are exactly (time, series_j)
-    ranges = [(lo, min(lo + CHUNK_PAIRS, total)) for lo in range(0, total, CHUNK_PAIRS)]
-    records: list[PairRecord] = []
+    payloads = []
     done = 0
-    for payload in _chunk_results(ctx, ranges, config.workers):
-        npairs, _, _, j_arr, hcc, pe, lcc, bi, wi = payload
-        done += npairs
-        for j, h, p, l, b, w in zip(j_arr, hcc, pe, lcc, bi, wi):
-            records.append(
-                PairRecord(ids[j - 1], TIME_ID, _as_float(h), _as_float(p), _as_float(l),
-                           unrank(int(b)), unrank(int(w)))
-            )
-        if progress is not None:
-            progress(done, total)
-    return records
+    with closing(_chunk_results(ctx, _chunk_ranges(total), config.workers)) as chunks:
+        for payload in chunks:
+            payloads.append(payload[2:9])
+            done += payload[0]
+            if progress is not None:
+                progress(done, total)
+    time_row, row, hcc, pe, lcc, bi, wi = (np.concatenate(col) for col in zip(*payloads))
+    return Records(ctx.ids, ctx.labels, row, time_row, hcc, pe, lcc, bi, wi)
 
 
 def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
@@ -509,12 +568,7 @@ def run_pair_list(dataset: Dataset, pairs, config: JobConfig) -> list[PairRecord
     names = list(dict.fromkeys(name for pair in pairs for name in pair))
     row = {name: k for k, name in enumerate(names)}
     ctx = _Ctx(np.vstack([dataset.get(name).values for name in names]), config.m).load()
-    spans = [_scan_span(ctx, row[a], row[b], row[b] + 1) for a, b in pairs]
-    hcc, pe, lcc, bi, wi = (np.concatenate(col) for col in list(zip(*spans))[:5])
-    keep = _filter_mask(config.filter, hcc, pe, lcc)
-    unrank = _Unranker(ctx.spec)
-    return [
-        PairRecord(a, b, _as_float(h), _as_float(p), _as_float(l), unrank(int(bc)), unrank(int(wc)))
-        for (a, b), k, h, p, l, bc, wc in zip(pairs, keep, hcc, pe, lcc, bi, wi)
-        if k
-    ]
+    ctx.ids = tuple(names)
+    ctx.filter = config.filter
+    columns, _ = _scan_columns(ctx, [(row[a], row[b], row[b] + 1) for a, b in pairs])
+    return list(Records(ctx.ids, ctx.labels, *columns))

@@ -1,19 +1,20 @@
 import io
 import contextlib
+import multiprocessing
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compcorr import cli
+from compcorr import cli, engine
 from compcorr.cli import _default_workers, _guarded_output, _write_distribution, build_parser, main
 from compcorr.compositions import CompositionSpec, prefix_runs, tail_cap
 from compcorr.corr import ScanOptions
 from compcorr.engine import scan
 from compcorr.datasets import Dataset, write_dataset
 from compcorr.engine import format_composition, format_number
-from compcorr.segments import TimeSeries
+from compcorr.segments import ConsistencyError, TimeSeries
 
 
 def run(argv):
@@ -201,10 +202,12 @@ def test_clouds_output(in_tmp, toy_file):
 
 # --------------------------------------------------------------- all pairs
 
-def test_all_pairs_output_and_thread_determinism(in_tmp, toy_file):
+def test_all_pairs_output_and_thread_determinism(in_tmp, toy_file, monkeypatch, pool_starts):
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)  # 15 pairs in 4 chunks
     code1, _, _ = run(["all-pairs", "--input", str(toy_file), "--min-part", "4", "--output", "a1.tsv", "--threads", "1"])
     code2, _, _ = run(["all-pairs", "--input", str(toy_file), "--min-part", "4", "--output", "a2.tsv", "--threads", "2"])
     assert code1 == code2 == 0
+    assert pool_starts == [2]
     a1 = Path("a1.tsv").read_text()
     assert a1 == Path("a2.tsv").read_text()
     lines = a1.splitlines()
@@ -234,6 +237,30 @@ def test_all_pairs_emit_distribution(in_tmp, toy_file):
     assert code == 0
     name = "Output.toy.g2.g4.n23.m4.txt"
     assert Path(name).read_bytes() == (Path("single") / name).read_bytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers must inherit the patched kernel")
+def test_all_pairs_worker_failure_leaves_partial_output(in_tmp, toy_file, monkeypatch, pool_starts):
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)  # 15 pairs in 4 chunks
+    scan_span = engine._scan_span
+
+    def failing(ctx, i, j0, j1, *args):
+        if i == 2:  # pairs 9-11, in the third chunk
+            raise ConsistencyError("injected kernel failure")
+        return scan_span(ctx, i, j0, j1, *args)
+
+    monkeypatch.setattr(engine, "_scan_span", failing)
+    code, _, err = run(["all-pairs", "--input", str(toy_file), "--min-part", "4",
+                        "--output", "ap.tsv", "--threads", "2"])
+    assert code == 1
+    assert pool_starts == [2]
+    assert "injected kernel failure" in err
+    assert not Path("ap.tsv").exists()
+    lines = Path("ap.tsv.partial").read_text().splitlines()
+    assert lines[0] == "id_a\tid_b\thcc\tpearson\tlcc\tbcc\twcc"
+    assert len(lines) == 1 + 8  # the two chunks before the failing one
+    assert multiprocessing.active_children() == []
 
 
 def test_all_pairs_bad_filter(in_tmp, toy_file):

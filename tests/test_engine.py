@@ -3,7 +3,12 @@ import pytest
 
 from compcorr import _blocks, engine
 from compcorr.baselines import pearson
-from compcorr.compositions import CompositionSpec, enumerate_compositions
+from compcorr.compositions import (
+    CompositionSpec,
+    composition_at,
+    count_compositions,
+    enumerate_compositions,
+)
 from compcorr.corr import comp_correlation
 from compcorr.datasets import Dataset
 from compcorr.engine import (
@@ -11,6 +16,7 @@ from compcorr.engine import (
     FilterClause,
     JobConfig,
     PairRecord,
+    Records,
     format_composition,
     format_number,
     parse_filter,
@@ -60,12 +66,22 @@ def test_all_pairs_records_match_single_scans():
         assert r.pearson == pytest.approx(pearson(ds.get(r.id_a), ds.get(r.id_b)), abs=1e-12)
 
 
-def test_all_pairs_deterministic_across_worker_counts():
+def test_all_pairs_deterministic_across_worker_counts(monkeypatch, pool_starts):
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 8)  # 45 pairs in 6 chunks
     ds = toy_dataset(S=10)
     outputs = []
     for workers in (1, 2, 3):
-        records, _ = collect(ds, JobConfig(m=4, workers=workers))
-        outputs.append([record_line(r, 15) for r in records])
+        lines, texts = [], []
+
+        def sink(rs):
+            lines.extend(record_line(r, 15) + "\n" for r in rs)
+            texts.append(rs.text)
+
+        run_all_pairs(ds, JobConfig(m=4, workers=workers), sink, precision=15)
+        assert "".join(texts) == "".join(lines)
+        outputs.append(lines)
+    assert pool_starts == [2, 3]
+    assert len(outputs[0]) == 45
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -177,6 +193,61 @@ def test_record_line_layout():
     rec = PairRecord("a", "b", 0.5, 0.25, -0.5, (2, 3), (3, 2))
     assert RECORD_HEADER == "id_a\tid_b\thcc\tpearson\tlcc\tbcc\twcc"
     assert record_line(rec) == "a\tb\t0.500000\t0.250000\t-0.500000\t[2,3]\t[3,2]"
+
+
+def reference_records(spec, ids, columns):
+    """PairRecords from kernel columns, one field at a time."""
+    def value(x):
+        return None if np.isnan(x) else float(x)
+
+    def parts(k):
+        return None if k < 0 else composition_at(spec, int(k))
+
+    return [PairRecord(ids[a], ids[b], value(h), value(p), value(l), parts(bc), parts(wc))
+            for a, b, h, p, l, bc, wc in zip(*columns)]
+
+
+@pytest.mark.parametrize("n, m", [(23, 4), (13, 2)])
+def test_rendered_records_match_record_line(monkeypatch, n, m):
+    spec = CompositionSpec(n, m)
+    ncomp = count_compositions(spec)
+    labels = engine._Labels(spec)
+    assert labels[-1] == "NA" and labels.parts[-1] is None
+    for k in range(ncomp):
+        assert labels[k] == format_composition(composition_at(spec, k))
+
+    # hand-built columns: Undefined values, values printing as -0.000000, extremes
+    rng = np.random.default_rng(n)
+    ids = ("a", "b", "c", "d")
+    size = 400
+    values = [rng.uniform(-1, 1, size) for _ in range(3)]
+    for col in values:
+        col[rng.integers(0, size, 40)] = np.nan
+        col[rng.integers(0, size, 10)] = -1e-9
+        col[rng.integers(0, size, 10)] = -0.0
+        col[:2] = (-1.0, 1.0)
+    columns = (rng.integers(0, 4, size), rng.integers(0, 4, size), *values,
+               rng.integers(-1, ncomp, size), rng.integers(-1, ncomp, size))
+    records = Records(ids, engine._Labels(spec), *columns)
+    want = reference_records(spec, ids, columns)
+    assert len(records) == size and list(records) == want
+    assert records[-1] == want[-1] and records[3] == want[3]
+    for precision in (0, 6, 15):
+        assert records.render(precision) == "".join(record_line(r, precision) + "\n" for r in want)
+    assert "\t-0.000000\t" in records.render(6) and "\tNA\t" in records.render(6)
+
+    # a run's chunks, with a constant series (every field NA, BCC and WCC index -1)
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 5)
+    ds = toy_dataset(S=6, n=n)
+    ds = Dataset(series=(TimeSeries("flat", np.full(n, 3.0)),) + ds.series)
+    for precision in (0, 6, 15):
+        chunks = []
+        run_all_pairs(ds, JobConfig(m=m), chunks.append, precision=precision)
+        assert len(chunks) == 5
+        for rs in chunks:
+            assert rs.text == "".join(record_line(r, precision) + "\n" for r in rs)
+        assert chunks[0][0].hcc is None and chunks[0][0].bcc is None
+        assert chunks[0].text.startswith("flat\tg0\tNA\tNA\tNA\tNA\tNA\n")
 
 
 # ------------------------------------------------------------- pair modes
