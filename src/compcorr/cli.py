@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -364,7 +365,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 1
-    except (ValueError, OSError, ConsistencyError) as exc:
+    except (ValueError, OSError, ConsistencyError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

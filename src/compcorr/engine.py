@@ -4,16 +4,17 @@ One kernel scans every pair, whichever entry point asks.  ``_Ctx`` holds
 the rows of a run; the process that runs the kernel builds their window
 deviations, flushed self sums and (for runs of many pairs) per-composition
 variance sums once.  ``_scan_span`` then scans row i against a span of
-rows: two-pass cross sums from the deviation table, three sparse products
-with the composition incidence blocks (cached, or streamed per span when
-too large to cache), the one clamp, and vectorized extreme tracking.
+rows: two-pass cross sums from the deviation table, one product per
+composition incidence block (``_blocks``, built once per (n, m) and shared
+by every span), the one clamp, and vectorized extreme tracking.
 ``scan`` is a one-pair span, so ``pair``, ``clouds``, ``all-pairs`` and
 ``time-corr`` give bit-identical answers for the same pair.
 
 Chunk boundaries are fixed in pair-index space (never derived from the
 worker count), results are reassembled in submission order, and every
 array operation is row- or column-independent, so output files are
-byte-identical no matter how many workers run.
+byte-identical no matter how many workers run.  A worker that dies
+outright fails the run instead of hanging it.
 
 Records pass through an optional conjunctive filter (comparisons on hcc,
 lcc, pearson, abs(pearson)) before reaching the sink; Undefined never
@@ -28,7 +29,6 @@ when it is read.
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import re
 import time
 from collections.abc import Sequence
@@ -301,7 +301,7 @@ class _Ctx:
         self.m = m
         self.X = X
         self.ncomp = count_compositions(self.spec)
-        self.blocks = _blocks.blocks_for(n, m)  # None: streamed per span
+        self.blocks = _blocks.blocks_for(n, m)
         self.j_step = max(1, _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS))
         self.var_sums = None
         self.ids: tuple[str, ...] = ()  # one per row, to name records
@@ -314,8 +314,14 @@ class _Ctx:
         self.css, self.zmask = series_segment_css(self.X, self.dev)
         # a row's variance sums recur in every pair it takes part in; with
         # two rows there is one pair and nothing to reuse
-        if self.S > 2 and self.blocks is not None and self.S * self.ncomp <= _VAR_SUM_BUDGET:
-            self.var_sums = np.hstack([blk.matrix.dot(self.css.T).T for blk in self.blocks])
+        if self.S > 2 and self.S * self.ncomp <= _VAR_SUM_BUDGET:
+            self.var_sums = np.empty((self.S, self.ncomp))
+            for blk in self.blocks:
+                cols = slice(blk.offset, blk.offset + blk.count)
+                # j_step rows at a time keep each product within the cell budget
+                for r0 in range(0, self.S, self.j_step):
+                    rows = slice(r0, r0 + self.j_step)
+                    self.var_sums[rows, cols] = blk.matrix.dot(self.css[rows].T).T
         return self
 
 
@@ -355,17 +361,22 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
     worst_idx = np.full(J, -1, dtype=np.int64)
     pe = np.full(J, np.nan)
     undef_count = 0
+    # one product per block: the cross sums, and the self sums when not cached
+    if ctx.var_sums is None:
+        x = np.vstack([ctx.css[i], ctx.css[j0:j1], css_ab]).T
+    else:
+        x = css_ab.T
+    x = np.ascontiguousarray(x)
 
-    for blk in ctx.blocks or _blocks.iter_blocks(ctx.n, ctx.m):
-        M = blk.matrix
+    for blk in ctx.blocks:
         lo, hi = blk.offset, blk.offset + blk.count
+        y = blk.matrix.dot(x)
         if ctx.var_sums is not None:
             va = ctx.var_sums[i, lo:hi]
             vb = ctx.var_sums[j0:j1, lo:hi].T
+            cov = y
         else:
-            va = M.dot(ctx.css[i])
-            vb = M.dot(ctx.css[j0:j1].T)
-        cov = M.dot(css_ab.T)
+            va, vb, cov = y[:, 0], y[:, 1:J + 1], y[:, J + 1:]
         undef = (va[:, None] == 0.0) | (vb == 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             r = cov / np.sqrt(va[:, None] * vb)
@@ -442,13 +453,24 @@ def _chunk_worker(rg: tuple[int, int]):
 
 
 def _chunk_results(ctx: _Ctx, ranges, workers: int):
+    """Chunk payloads in submission order.
+
+    A worker that dies outright breaks the pool, and the next payload
+    raises BrokenProcessPool instead of waiting for it.
+    """
     if workers == 1 or len(ranges) <= 1:
         _set_ctx(ctx)
         for rg in ranges:
             yield _chunk_worker(rg)
         return
-    with mp.Pool(workers, initializer=_set_ctx, initargs=(ctx,)) as pool:
-        yield from pool.imap(_chunk_worker, ranges)
+    # imported here: a run on one worker never starts a pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, initializer=_set_ctx, initargs=(ctx,))
+    try:
+        yield from pool.map(_chunk_worker, ranges)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
-import multiprocessing.pool
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 
 @pytest.fixture()
 def pool_starts(monkeypatch):
-    """Worker counts of the multiprocessing pools started during the test."""
+    """Worker counts of the process pools started during the test."""
     starts = []
-    init = multiprocessing.pool.Pool.__init__
+    init = ProcessPoolExecutor.__init__
 
-    def counting(self, processes=None, *args, **kwargs):
-        starts.append(processes)
-        init(self, processes, *args, **kwargs)
+    def counting(self, max_workers=None, *args, **kwargs):
+        starts.append(max_workers)
+        init(self, max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting)
     return starts

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -141,11 +142,24 @@ def test_report_for_pair():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.sparse are most of the CLI's start-up time; only
-    # spearman needs the one and only block assembly the other
+    # scipy.stats is most of the CLI's start-up time and only spearman needs
+    # it; nothing needs scipy.sparse, not even a scan
     src = str(Path(compcorr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, compcorr.cli; print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)"
+    code = textwrap.dedent("""
+        import sys, compcorr.cli
+        import numpy as np
+        from compcorr.compositions import CompositionSpec
+        from compcorr.datasets import Dataset
+        from compcorr.engine import JobConfig, run_all_pairs, scan
+        from compcorr.segments import TimeSeries
+        print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)
+        rng = np.random.default_rng(1)
+        a, b = (TimeSeries(name, rng.normal(size=23)) for name in 'ab')
+        scan(a, b, CompositionSpec(23, 2))
+        run_all_pairs(Dataset(series=(a, b)), JobConfig(m=4), sink=lambda records: None)
+        print('scipy.sparse' in sys.modules)
+    """)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.split() == ["False", "False", "False"]

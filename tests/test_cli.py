@@ -2,6 +2,7 @@ import io
 import contextlib
 import multiprocessing
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,44 @@ def test_all_pairs_worker_failure_leaves_partial_output(in_tmp, toy_file, monkey
     lines = Path("ap.tsv.partial").read_text().splitlines()
     assert lines[0] == "id_a\tid_b\thcc\tpearson\tlcc\tbcc\twcc"
     assert len(lines) == 1 + 8  # the two chunks before the failing one
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers must inherit the patched kernel")
+def test_all_pairs_worker_death_fails_the_run(in_tmp, toy_file, monkeypatch, pool_starts):
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)  # 15 pairs in 4 chunks
+    code, _, _ = run(["all-pairs", "--input", str(toy_file), "--min-part", "4",
+                      "--output", "full.tsv", "--threads", "1"])
+    assert code == 0
+    scan_span = engine._scan_span
+
+    def dying(ctx, i, j0, j1, *args):
+        if i == 2:  # pairs 9-11, in the third chunk
+            os._exit(1)
+        return scan_span(ctx, i, j0, j1, *args)
+
+    monkeypatch.setattr(engine, "_scan_span", dying)
+
+    def hung(signum, frame):
+        raise TimeoutError("the run still waits for the dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code, _, err = run(["all-pairs", "--input", str(toy_file), "--min-part", "4",
+                            "--output", "ap.tsv", "--threads", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert pool_starts == [2]
+    assert "error:" in err and "terminated abruptly" in err
+    assert not Path("ap.tsv").exists()
+    # the chunks written before the pool broke, at most the two before the dying one
+    partial = Path("ap.tsv.partial").read_text().splitlines()
+    full = Path("full.tsv").read_text().splitlines()
+    assert 1 <= len(partial) <= 1 + 8 and partial == full[:len(partial)]
     assert multiprocessing.active_children() == []
 
 

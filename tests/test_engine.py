@@ -319,14 +319,13 @@ def test_streamed_blocks_match_cached_blocks(monkeypatch, n, m):
     ds = toy_dataset(S=6, n=n)
     cached, _ = collect(ds, JobConfig(m=m))
     cached_time = run_versus_time(ds, JobConfig(m=m))
-    # nothing fits the cache, each span streams several blocks, and there
+    # each span walks many small blocks (prefixes, shared tails), and there
     # are several chunks, so 2 workers run a pool
     monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)
-    monkeypatch.setattr(_blocks, "CACHE_NNZ_LIMIT", 0)
     monkeypatch.setattr(_blocks, "BLOCK_ROWS", 16)
     _blocks.blocks_for.cache_clear()
     try:
-        assert _blocks.blocks_for(n, m) is None
+        assert len(_blocks.blocks_for(n, m)) > 1
         for workers in (1, 2):
             streamed, summary = collect(ds, JobConfig(m=m, workers=workers))
             assert streamed == cached
@@ -404,3 +403,18 @@ def test_every_entry_point_gives_the_same_bits(monkeypatch, n, m, seed):
         for value, parts in ((hcc, bcc), (lcc, wcc), (pe, (n,))):
             if value is not None:
                 assert value == pytest.approx(comp_correlation(x, y, parts), abs=1e-9)
+
+
+def test_all_pairs_at_n34_m2():
+    # 3,524,578 compositions with 34M part incidences, in blocks built once for every span
+    n, m = 34, 2
+    rng = np.random.default_rng(34)
+    ds = Dataset(series=tuple(TimeSeries(f"w{k}", np.cumsum(rng.normal(size=n))) for k in range(3)))
+    spec = CompositionSpec(n, m)
+    records, summary = collect(ds, JobConfig(m=m))
+    assert summary.pairs_scanned == len(records) == 3
+    for r in records:
+        x, y = ds.get(r.id_a), ds.get(r.id_b)
+        assert as_tuple(r) == as_tuple(scan(x, y, spec))
+        for value, parts in ((r.hcc, r.bcc), (r.lcc, r.wcc), (r.pearson, (n,))):
+            assert value == pytest.approx(comp_correlation(x, y, parts), abs=1e-9)
