@@ -2,7 +2,10 @@
 
 Subcommands: pair, all-pairs, time-corr, synth, clouds, count.  Results go
 to files (tab-separated, reals at a configurable precision, Undefined as
-NA); summaries and progress go to stdout/stderr.  Exit status is 0 only
+NA); summaries and progress go to stdout/stderr.  Distribution files and
+record tables are rendered in bulk, numbers by ``engine.render_fixed`` and
+labels from cached byte tables, and read byte for byte as
+``format_number`` and ``format_composition`` write them.  Exit status is 0 only
 when the requested computation completed; aborted runs leave their
 partial output renamed with a .partial suffix.
 """
@@ -14,6 +17,7 @@ import sys
 import time
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +29,12 @@ from .datasets import DEFAULT_RANGES, FUNCTIONS, Dataset, SynthSpec, load_datase
 from .engine import (
     JobConfig,
     RECORD_HEADER,
+    byte_rows,
     format_composition,
     format_number,
+    join_rows,
     parse_filter,
+    render_fixed,
     run_all_pairs,
     run_pair,
     run_versus_time,
@@ -38,6 +45,8 @@ PROGRESS_EVERY = 10_000
 # Most compositions per distribution-file run.  The label table then holds a
 # few thousand strings while each write still carries hundreds of lines.
 LABEL_ROWS = 1024
+# Lines rendered per distribution-file write, give or take one run.
+BLOCK_LINES = 8192
 
 
 def _default_workers() -> int:
@@ -54,9 +63,9 @@ def _default_workers() -> int:
 
 
 @contextmanager
-def _guarded_output(path: Path):
+def _guarded_output(path: Path, mode: str = "w"):
     """Open for writing; on any failure rename the partial file aside."""
-    handle = open(path, "w")
+    handle = open(path, mode)
     try:
         with handle:
             yield handle
@@ -93,6 +102,12 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise SystemExit(f"--range expects LO:HI, got {text!r}")
 
 
+def _precision(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _progress_printer(label: str):
     state = {"last": 0, "t0": time.perf_counter()}
 
@@ -116,31 +131,50 @@ def _distribution_path(outdir: Path, dataset: str, id_a: str, id_b: str, spec: C
     return outdir / f"Output.{dataset}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt"
 
 
+@lru_cache(maxsize=4)
+def _run_table(n: int, m: int, label_rows: int):
+    """The distribution file's prefix runs, in O(runs) arrays.
+
+    Returns the head bytes of each run (``[`` and its prefix parts) as a
+    padded byte matrix, every tail label of remainders 0..cap as another,
+    each run's first row in the tail matrix, and its line count.
+    """
+    cap = tail_cap(n, m, label_rows)
+    labels = tail_labels(m, cap)
+    first = np.cumsum([0] + [len(row) for row in labels])
+    tails = byte_rows([label for row in labels for label in row])
+    heads, remainders = [], []
+    for prefix, remainder in prefix_runs(n, m, cap):
+        heads.append("[" + ",".join(map(str, prefix)) + ("," if prefix and remainder else ""))
+        remainders.append(remainder)
+    return byte_rows(heads), tails, first[remainders], np.diff(first)[remainders]
+
+
 def _write_distribution(path: Path, result: ScanResult, precision: int) -> None:
     """Write one ``composition<TAB>r_c`` line per composition, canonical order.
 
-    Renders runs of compositions that share a prefix: each run's lines come
-    from cached tail labels and one slice of the values vector, and go out
-    in one write.  Lines read as format_composition and format_number
-    render them.
+    Renders whole prefix runs, about BLOCK_LINES lines at a time: each
+    line joins its run's head, a cached tail label and the value from
+    :func:`render_fixed`, and a block goes out in one write.  Lines read as
+    format_composition and format_number render them.
     """
     if result.values is None:
         raise ValueError("scan was not asked to keep the distribution")
-    n, m = result.spec.n, result.spec.m
-    cap = tail_cap(n, m, LABEL_ROWS)
-    labels = tail_labels(m, cap)
-    spec = f".{precision}f"
-    offset = 0
-    with _guarded_output(path) as out:
-        out.write("composition\tr_c\n")
-        for prefix, remainder in prefix_runs(n, m, cap):
-            tails = labels[remainder]
-            head = "[" + ",".join(map(str, prefix)) + ("," if prefix and remainder else "")
-            chunk = result.values[offset:offset + len(tails)].tolist()
-            offset += len(tails)
-            # NaN (x != x) marks an Undefined composition
-            out.write("".join([f"{head}{t}]\t{'NA' if x != x else format(x, spec)}\n"
-                               for t, x in zip(tails, chunk)]))
+    heads, tails, first, counts = _run_table(result.spec.n, result.spec.m, LABEL_ROWS)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # a block opens with the run that holds line k·BLOCK_LINES
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], BLOCK_LINES), side="right"))
+    with _guarded_output(path, "wb") as out:
+        out.write(b"composition\tr_c\n")
+        for r0, r1 in zip(cuts.tolist(), [*cuts[1:].tolist(), len(counts)]):
+            lo, hi = starts[r0], ends[r1 - 1]
+            run = np.repeat(np.arange(r0, r1), counts[r0:r1])
+            out.write(join_rows([
+                heads.take(run, axis=0),
+                tails.take(first[run] + np.arange(lo, hi) - starts[run], axis=0), b"]\t",
+                render_fixed(result.values[lo:hi], precision), b"\n",
+            ]))
 
 
 def _part_correlations(a, b, parts) -> list[float | None]:
@@ -291,7 +325,7 @@ def _add_io_flags(sp, with_synth=False):
 def _add_scan_flags(sp, default_m):
     sp.add_argument("--min-part", type=int, default=default_m, metavar="M",
                     help=f"minimum part length m (default {default_m})")
-    sp.add_argument("--precision", type=int, default=6,
+    sp.add_argument("--precision", type=_precision, default=6,
                     help="decimals for reals in output (default 6)")
     sp.add_argument("--output", help="output path (default: derived name in the working directory)")
 

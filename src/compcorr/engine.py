@@ -20,9 +20,12 @@ Records pass through an optional conjunctive filter (comparisons on hcc,
 lcc, pearson, abs(pearson)) before reaching the sink; Undefined never
 satisfies a comparison.  A chunk's kept pairs travel as columns (row
 indices, hcc, pearson, lcc, and BCC and WCC as canonical composition
-indices).  Given a precision, the worker also renders them to text,
-through a label memo it keeps across its chunks, so the parent only
-writes.  The batch entry points hand their pairs out through
+indices).  Given a precision, the worker also renders them to text in
+bulk, so the parent only writes: :func:`render_fixed` turns each number
+column into fixed-point digits in a byte matrix, and labels come from a
+memo the worker keeps across its chunks.  ``format_number`` and
+``record_line`` remain the per-value reference that the bulk text
+matches byte for byte.  The batch entry points hand their pairs out through
 :class:`Records`, which builds each ``PairRecord`` from the columns only
 when it is read.
 """
@@ -175,6 +178,79 @@ def record_line(rec: PairRecord, precision: int = 6) -> str:
     )
 
 
+# Highest precision the digit path serves: |x| < 10 keeps 10^p·|x| below
+# 10^16, well inside int64.
+_FIXED_DIGITS = 15
+
+
+def render_fixed(values: np.ndarray, precision: int) -> np.ndarray:
+    """Render a float vector as rows of a NUL-padded uint8 matrix.
+
+    Row k, without its NULs, reads as ``format_number(values[k], precision)``
+    does, and NaN (Undefined) reads ``NA``.  The digits come from
+    ``rint(|x|·10^p)`` as int64 and the sign from ``signbit``, so -0.0 and
+    -1e-9 read ``-0.000000``.  ``format`` renders the rest: |x| >= 10, and
+    every value whose scaled fraction lies so near one half that float
+    scaling might round it otherwise than Python's exact decimal rounding.
+    The band, max(10^p·|x|, 1)·2^-48, is 32 times the largest error of the
+    scaling.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    p = precision
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(x) * float(10 ** min(p, _FIXED_DIGITS))
+        fast = ((np.abs(x) < 10) & (p <= _FIXED_DIGITS)
+                & (np.abs(scaled - np.floor(scaled) - 0.5) > np.maximum(scaled, 1.0) * 2.0 ** -48))
+    q = np.rint(np.where(fast, scaled, 0.0)).astype(np.int64)
+    fast &= q < 10 ** (min(p, _FIXED_DIGITS) + 1)  # one integer digit
+    digits = np.empty((p + 1, len(x)), np.uint8)
+    for row in digits[::-1]:
+        rest = q // 10
+        row[:] = q - rest * 10 + ord("0")
+        q = rest
+    undefined = np.isnan(x)
+    slow = ~(fast | undefined)
+    spec = f".{p}f"
+    rows = byte_rows([format(v, spec) for v in x[slow].tolist()])
+    mat = np.zeros((len(x), max(p + 2 + (p > 0), rows.shape[1])), np.uint8)
+    mat[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    mat[:, 1] = digits[0]
+    if p:
+        mat[:, 2] = ord(".")
+        mat[:, 3:p + 3] = digits[1:].T
+    mat[~fast] = 0
+    mat[undefined, :2] = (ord("N"), ord("A"))
+    mat[slow, :rows.shape[1]] = rows
+    return mat
+
+
+def byte_rows(strings: list[str]) -> np.ndarray:
+    """Strings, UTF-8 encoded, as the rows of a NUL-padded uint8 matrix."""
+    if "\0" in "".join(strings):
+        raise ValueError("text to render contains a NUL character")
+    try:
+        table = np.array(strings, dtype=bytes)  # ASCII, the common case
+    except UnicodeEncodeError:
+        table = np.array([s.encode() for s in strings], dtype=bytes)
+    return table.view(np.uint8).reshape(len(table), table.itemsize)
+
+
+def join_rows(columns) -> bytes:
+    """Concatenate each row across NUL-padded uint8 columns, padding dropped.
+
+    A ``bytes`` column is a constant repeated on every row.  Returns the
+    rows back to back.
+    """
+    mats = [np.frombuffer(col, np.uint8)[None, :] if isinstance(col, bytes) else col
+            for col in columns]
+    out = np.empty((max(len(mat) for mat in mats), sum(mat.shape[1] for mat in mats)), np.uint8)
+    at = 0
+    for mat in mats:
+        out[:, at:at + mat.shape[1]] = mat
+        at += mat.shape[1]
+    return out.tobytes().translate(None, b"\0")
+
+
 class _Parts(dict):
     """Canonical composition index -> parts, memoised; -1 (none) -> None."""
 
@@ -197,11 +273,6 @@ class _Labels(dict):
     def __missing__(self, index: int) -> str:
         got = self[index] = format_composition(self.parts[index])
         return got
-
-
-def _formatted(values: np.ndarray, spec: str) -> list[str]:
-    # NaN (x != x) marks Undefined
-    return ["NA" if x != x else format(x, spec) for x in values.tolist()]
 
 
 class Records(Sequence):
@@ -244,15 +315,18 @@ class Records(Sequence):
 
     def render(self, precision: int) -> str:
         """One line per record, as record_line writes it, each ending in a newline."""
-        spec = f".{precision}f"
-        ids, labels = self.ids, self.labels
+        if not len(self):
+            return ""
         a, b, hcc, pe, lcc, bi, wi = self.columns
-        return "".join([
-            f"{ids[x]}\t{ids[y]}\t{h}\t{p}\t{l}\t{labels[bc]}\t{labels[wc]}\n"
-            for x, y, h, p, l, bc, wc in zip(
-                a.tolist(), b.tolist(), _formatted(hcc, spec), _formatted(pe, spec),
-                _formatted(lcc, spec), bi.tolist(), wi.tolist())
-        ])
+        ids = byte_rows(self.ids)
+        used, at = np.unique(np.concatenate([bi, wi]), return_inverse=True)
+        labels = byte_rows([self.labels[k] for k in used.tolist()])
+        tab = b"\t"
+        return join_rows([
+            ids.take(a, axis=0), tab, ids.take(b, axis=0), tab, render_fixed(hcc, precision), tab,
+            render_fixed(pe, precision), tab, render_fixed(lcc, precision), tab,
+            labels.take(at[:len(self)], axis=0), tab, labels.take(at[len(self):], axis=0), b"\n",
+        ]).decode()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,23 @@ def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatc
             assert path.read_bytes() == line_by_line_distribution(result, precision)
     assert "\t-0.000000\n" in path.read_text()
     assert "\tNA\n" in path.read_text()
+
+
+def test_distribution_writer_memory_is_bounded(tmp_path):
+    # the values vector alone is 6.6 MB at (31, 2); the writer holds O(runs)
+    # tables and one block of lines, never an array per composition
+    rng = np.random.default_rng(31)
+    a, b = (TimeSeries(k, rng.normal(size=31)) for k in "ab")
+    result = scan(a, b, CompositionSpec(31, 2), ScanOptions(distribution=True))
+    cli._run_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _write_distribution(tmp_path / "d.txt", result, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert (tmp_path / "d.txt").stat().st_size > 832_040 * 20
 
 
 def test_distribution_writer_needs_values(tmp_path):
@@ -300,6 +318,19 @@ def test_all_pairs_worker_death_fails_the_run(in_tmp, toy_file, monkeypatch, poo
     full = Path("full.tsv").read_text().splitlines()
     assert 1 <= len(partial) <= 1 + 8 and partial == full[:len(partial)]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["pair g0 g1", "clouds g0 g1", "all-pairs", "time-corr"])
+@pytest.mark.parametrize("precision", ["-1", "2.5", "six"])
+def test_precision_must_be_a_non_negative_integer(in_tmp, toy_file, command, precision):
+    out = in_tmp / "out"
+    out.mkdir()
+    code, _, err = run([*command.split(), "--input", str(toy_file), "--min-part", "4",
+                        "--output", str(out / "result"), f"--precision={precision}"])
+    assert code != 0
+    assert "--precision" in err
+    assert list(out.iterdir()) == []
+    assert not list(in_tmp.glob("*.partial"))
 
 
 def test_all_pairs_bad_filter(in_tmp, toy_file):

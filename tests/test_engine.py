@@ -21,6 +21,7 @@ from compcorr.engine import (
     format_number,
     parse_filter,
     record_line,
+    render_fixed,
     run_all_pairs,
     run_pair,
     run_pair_list,
@@ -187,6 +188,47 @@ def test_format_number_and_composition():
     assert format_number(None) == "NA"
     assert format_composition((7, 4, 8, 4)) == "[7,4,8,4]"
     assert format_composition(None) == "NA"
+
+
+def rendered(mat):
+    """The rows of a NUL-padded byte matrix as strings."""
+    return [bytes(row[row != 0]).decode() for row in mat]
+
+
+def test_render_fixed_matches_format_number():
+    rng = np.random.default_rng(6)
+    special = np.array([np.nan, 0.0, -0.0, 1e-9, -1e-9, 1.0, -1.0, 5e-324, -5e-324,
+                        0.5, 1.5, 2.5, -2.5, 9.5, 9.9999999999999, -9.9999999999999,
+                        10.0, -10.0, 12.345, -99.5, 1e15, -3e300, np.inf, -np.inf])
+    dyadic = rng.integers(1, 2**20, 300) / 2.0 ** rng.integers(1, 21, 300)  # exact halves
+    for p in range(16):
+        # decimal halfway points at this precision (as near as a double gets)
+        # and one ulp either side
+        half = (rng.integers(0, 10 ** min(p + 1, 15), 400) + 0.5) / 10.0 ** p
+        half = half[half < 20]
+        values = np.concatenate([
+            rng.uniform(-1, 1, 2000), rng.uniform(-20, 20, 200), special,
+            dyadic, -dyadic, half, -half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf),
+        ])
+        # and a block that falls back whole
+        for block in (values, np.array([12.5, -300.25, np.inf])):
+            want = [format_number(None if x != x else x, p) for x in block.tolist()]
+            assert rendered(render_fixed(block, p)) == want
+        assert render_fixed(np.empty(0), p).shape[0] == 0
+    assert rendered(render_fixed(np.array([-0.0, -1e-9, np.nan]), 6)) == ["-0.000000", "-0.000000", "NA"]
+    assert rendered(render_fixed(np.array([-0.0, 0.5, 2.5, 1e20]), 0)) == ["-0", "0", "2", "100000000000000000000"]
+    assert rendered(render_fixed(np.array([0.1, -1.0]), 20)) == [format(0.1, ".20f"), format(-1.0, ".20f")]
+
+
+def test_records_render_any_text_id_and_reject_nul():
+    spec = CompositionSpec(6, 2)
+    columns = (np.array([0, 1]), np.array([1, 2]), np.array([0.5, np.nan]),
+               np.array([-0.25, 1.0]), np.array([-0.5, np.nan]), np.array([0, -1]), np.array([4, -1]))
+    ids = ("α-1", "b", "série")
+    records = Records(ids, engine._Labels(spec), *columns)
+    assert records.render(3) == "".join(record_line(r, 3) + "\n" for r in records)
+    with pytest.raises(ValueError, match="NUL"):
+        Records(("a\0", "b", "c"), engine._Labels(spec), *columns).render(3)
 
 
 def test_record_line_layout():
