@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compositions import composition_counts, prefix_runs, tail_cap
-from .segments import segment_offsets
+from .segments import segment_ids
 
 # Upper bound on compositions per block.  Fixed: block geometry determines
 # the evaluation batching, and keeping it constant keeps every scan of a
@@ -57,7 +57,6 @@ def _trie(n: int, m: int, r: int) -> _Trie:
         return _Trie(1, 0, (), np.zeros(1, dtype=np.intp))
     counts = np.asarray(composition_counts(r, m), dtype=np.int64)
     cumulative = np.cumsum(counts)
-    starts = segment_offsets(n, m)[n - r:]
     pos = np.zeros(1, dtype=np.intp)   # part sum of each inner node
     base = np.zeros(1, dtype=np.int64)  # rank of the first composition below each inner node
     levels = []
@@ -73,7 +72,7 @@ def _trie(n: int, m: int, r: int) -> _Trie:
         p = np.where(ordinal == kids[parent] - 1, q, m + ordinal)
         # compositions of q with a first part below p: c[q-m] + ... + c[q-p+1]
         rank = base[parent] + cumulative[q - m] - cumulative[q - p]
-        seg = starts[pos[parent]] + (p - m)
+        seg = segment_ids(n, m, n - r + pos[parent], p)
         pos = pos[parent] + p
         order = np.argsort(pos == r, kind="stable")  # inner nodes first
         inner = int(np.count_nonzero(pos < r))
@@ -136,7 +135,6 @@ def blocks_for(n: int, m: int) -> tuple[CompositionBlock, ...]:
     Blocks with the same remainder share one trie, so the whole list costs
     about what the tries for remainders up to the cap do.
     """
-    soffset = segment_offsets(n, m)
     tries: dict[int, _Trie] = {}
     blocks = []
     offset = 0
@@ -145,7 +143,7 @@ def blocks_for(n: int, m: int) -> tuple[CompositionBlock, ...]:
             tries[remainder] = _trie(n, m, remainder)
         tail = tries[remainder]
         parts = np.asarray(prefix, dtype=np.intp)
-        ids = soffset[np.cumsum(parts) - parts] + (parts - m)
+        ids = segment_ids(n, m, np.cumsum(parts) - parts, parts)
         blocks.append(CompositionBlock(offset, tail.count, Incidence(ids, tail)))
         offset += tail.count
     assert offset == composition_counts(n, m)[n]

@@ -2,12 +2,12 @@
 
 Subcommands: pair, all-pairs, time-corr, synth, clouds, count.  Results go
 to files (tab-separated, reals at a configurable precision, Undefined as
-NA); summaries and progress go to stdout/stderr.  Distribution files and
-record tables are rendered in bulk, numbers by ``engine.render_fixed`` and
-labels from cached byte tables, and read byte for byte as
-``format_number`` and ``format_composition`` write them.  Exit status is 0 only
-when the requested computation completed; aborted runs leave their
-partial output renamed with a .partial suffix.
+NA); summaries and progress go to stdout/stderr.  Distribution files,
+clouds and record tables are rendered in bulk, numbers by
+``engine.render_fixed`` and labels from cached byte tables, and read byte
+for byte as ``format_number`` and ``format_composition`` write them.
+Exit status is 0 only when the requested computation completed; aborted
+runs leave their partial output renamed with a .partial suffix.
 """
 from __future__ import annotations
 
@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines
 from .compositions import CompositionSpec, count_compositions, prefix_runs, tail_cap, tail_labels
-from .corr import ScanOptions, ScanResult
+from .corr import ScanOptions, ScanResult, comp_correlation
 from .datasets import DEFAULT_RANGES, FUNCTIONS, Dataset, SynthSpec, load_dataset, synth_dataset, write_dataset
 from .engine import (
     JobConfig,
@@ -39,7 +38,7 @@ from .engine import (
     run_pair,
     run_versus_time,
 )
-from .segments import ConsistencyError
+from .segments import ConsistencyError, TimeSeries
 
 PROGRESS_EVERY = 10_000
 # Most compositions per distribution-file run.  The label table then holds a
@@ -106,6 +105,20 @@ def _precision(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _workers(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _job_config(args) -> JobConfig:
+    return JobConfig(
+        m=args.min_part,
+        workers=args.threads or _default_workers(),
+        filter=parse_filter(args.filter) if args.filter else (),
+    )
 
 
 def _progress_printer(label: str):
@@ -178,10 +191,13 @@ def _write_distribution(path: Path, result: ScanResult, precision: int) -> None:
 
 
 def _part_correlations(a, b, parts) -> list[float | None]:
+    """r of each part on its own: the one-part composition, with the kernel's zero flush."""
     out = []
     start = 0
     for length in parts:
-        out.append(baselines.pearson(a.values[start:start + length], b.values[start:start + length]))
+        part = slice(start, start + length)
+        out.append(comp_correlation(TimeSeries(a.id, a.values[part]), TimeSeries(b.id, b.values[part]),
+                                    (length,)))
         start += length
     return out
 
@@ -243,25 +259,23 @@ def _cmd_clouds(args) -> int:
     out = Path(args.output) if args.output else Path(
         f"Clouds.{ds.name}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt")
     p = args.precision
-    with _guarded_output(out) as fh:
-        fh.write("r_c\tvar_a\tvar_b\tcov\n")
-        for row in result.clouds:
-            r = None if np.isnan(row[0]) else float(row[0])
-            fh.write(format_number(r, p) + "\t"
-                     + "\t".join(f"{v:.{p}g}" for v in row[1:]) + "\n")
+    spec_g = f".{p}g"
+    with _guarded_output(out, "wb") as fh:
+        fh.write(b"r_c\tvar_a\tvar_b\tcov\n")
+        # BLOCK_LINES rows per write; r_c reads as format_number, the rest as %g
+        for lo in range(0, len(result.clouds), BLOCK_LINES):
+            block = result.clouds[lo:lo + BLOCK_LINES]
+            va, vb, cov = (byte_rows([format(v, spec_g) for v in col]) for col in block[:, 1:].T.tolist())
+            fh.write(join_rows([render_fixed(block[:, 0], p), b"\t", va, b"\t", vb, b"\t", cov, b"\n"]))
     print(f"wrote {out}: {result.n_compositions} compositions "
           f"({result.n_undefined} undefined)")
     return 0
 
 
 def _cmd_all_pairs(args) -> int:
+    config = _job_config(args)
     ds = _load(args)
     spec = CompositionSpec(ds.n, args.min_part)
-    config = JobConfig(
-        m=args.min_part,
-        workers=args.threads,
-        filter=parse_filter(args.filter) if args.filter else (),
-    )
     out = Path(args.output) if args.output else Path(f"Pairs.{ds.name}.n{spec.n}.m{spec.m}.tsv")
     p = args.precision
     kept: list[tuple[str, str]] = []
@@ -288,13 +302,9 @@ def _cmd_all_pairs(args) -> int:
 
 
 def _cmd_time_corr(args) -> int:
+    config = _job_config(args)
     ds = _load(args)
     spec = CompositionSpec(ds.n, args.min_part)
-    config = JobConfig(
-        m=args.min_part,
-        workers=args.threads,
-        filter=parse_filter(args.filter) if args.filter else (),
-    )
     out = Path(args.output) if args.output else Path(f"TimeCorr.{ds.name}.n{spec.n}.m{spec.m}.tsv")
     records = run_versus_time(ds, config, progress=_progress_printer("time-corr"))
     with _guarded_output(out) as fh:
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("all-pairs", help="scan every pair of the dataset")
     _add_io_flags(sp)
     _add_scan_flags(sp, default_m=4)
-    sp.add_argument("--threads", type=int, default=_default_workers(),
+    sp.add_argument("--threads", type=_workers,
                     help="worker processes (default: COMP_CORR_THREADS or the cpu count)")
     sp.add_argument("--filter", help="e.g. 'hcc>0.9 AND abs(pearson)<0.1'")
     sp.add_argument("--emit-distribution", action="store_true",
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("time-corr", help="scan each series against time")
     _add_io_flags(sp)
     _add_scan_flags(sp, default_m=2)
-    sp.add_argument("--threads", type=int, default=_default_workers(),
+    sp.add_argument("--threads", type=_workers,
                     help="worker processes (default: COMP_CORR_THREADS or the cpu count)")
     sp.add_argument("--filter", help="e.g. 'hcc>0.9 AND abs(pearson)<0.1'")
     sp.set_defaults(fn=_cmd_time_corr)

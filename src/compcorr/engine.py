@@ -452,8 +452,11 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
         else:
             va, vb, cov = y[:, 0], y[:, 1:J + 1], y[:, J + 1:]
         undef = (va[:, None] == 0.0) | (vb == 0.0)
+        # in place: every (compositions x pairs) temporary is page faults
+        # once the allocator has handed the last span's memory back
         with np.errstate(invalid="ignore", divide="ignore"):
-            r = cov / np.sqrt(va[:, None] * vb)
+            r = va[:, None] * vb
+            np.divide(cov, np.sqrt(r, out=r), out=r)
         r[undef] = np.nan
         _clamp(r)
         undef_count += int(undef.sum())
@@ -469,7 +472,7 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
         best[upd] = val[upd]
         best_idx[upd] = arg[upd] + lo
 
-        masked = np.where(undef, np.inf, r)
+        masked[undef] = np.inf
         arg = masked.argmin(axis=0)
         val = masked[arg, np.arange(J)]
         upd = val < worst
@@ -532,15 +535,20 @@ def _chunk_results(ctx: _Ctx, ranges, workers: int):
     A worker that dies outright breaks the pool, and the next payload
     raises BrokenProcessPool instead of waiting for it.
     """
+    global _CTX
     if workers == 1 or len(ranges) <= 1:
         _set_ctx(ctx)
-        for rg in ranges:
-            yield _chunk_worker(rg)
+        try:
+            for rg in ranges:
+                yield _chunk_worker(rg)
+        finally:
+            _CTX = None  # the run's tables go with the run
         return
     # imported here: a run on one worker never starts a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, initializer=_set_ctx, initargs=(ctx,))
+    # fork starts every worker at once, so start no more than there are chunks
+    pool = ProcessPoolExecutor(min(workers, len(ranges)), initializer=_set_ctx, initargs=(ctx,))
     try:
         yield from pool.map(_chunk_worker, ranges)
     finally:

@@ -19,12 +19,13 @@ two-pass within its own window, on the raw values, and each reduction is
 per element or per window.  So a contribution depends only on its window
 (perturbing an observation outside it leaves it bit-identical), not on
 which other rows share the table, and the self sums are nonnegative.
-:class:`SegmentTable` is the one-pair public view of the same builder.
+Flat segment ids (:func:`segment_ids`) are length-major, the order the
+tables are built in, so no table is ever permuted.  :class:`SegmentTable`
+is the one-pair public view of the same builder.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,28 +72,20 @@ class TimeSeries:
         return int(self.values.size)
 
 
-@lru_cache(maxsize=32)
-def segment_bounds(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, lengths) for all segments of an n-long series, start-major."""
-    starts = []
-    lengths = []
-    for s in range(0, n - m + 1):
-        for length in range(m, n - s + 1):
-            starts.append(s)
-            lengths.append(length)
-    return np.asarray(starts, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
-
-
-@lru_cache(maxsize=32)
-def segment_offsets(n: int, m: int) -> np.ndarray:
-    """offsets[s] = flat index of segment (s, m); closed form, start-major."""
-    s = np.arange(n - m + 1, dtype=np.int64)
-    return s * (n - m + 1) - s * (s - 1) // 2
-
-
 def segment_count(n: int, m: int) -> int:
     k = n - m + 1
     return k * (k + 1) // 2
+
+
+def segment_ids(n: int, m: int, starts, lengths):
+    """Flat ids of segments (start, length), length-major.
+
+    Every segment of length m in start order comes first, then every one
+    of length m + 1, and so on: the order in which the tables are built.
+    Takes and returns ints or integer arrays alike.
+    """
+    d = lengths - m
+    return d * (n - m + 1) - d * (d - 1) // 2 + starts
 
 
 def segment_index(n: int, m: int, start: int, length: int) -> int:
@@ -101,13 +94,7 @@ def segment_index(n: int, m: int, start: int, length: int) -> int:
         raise ValueError(f"segment length {length} is shorter than the minimum part m={m}")
     if start < 0 or start + length > n:
         raise ValueError(f"segment ({start}, {length}) falls outside a series of length {n}")
-    return int(segment_offsets(n, m)[start] + (length - m))
-
-
-@lru_cache(maxsize=32)
-def _ids_for_length(n: int, m: int, length: int) -> np.ndarray:
-    # flat ids of all segments with this length, in start order
-    return segment_offsets(n, m)[: n - length + 1] + (length - m)
+    return int(segment_ids(n, m, start, length))
 
 
 def segment_max_sq(anchor: np.ndarray, m: int) -> np.ndarray:
@@ -117,14 +104,9 @@ def segment_max_sq(anchor: np.ndarray, m: int) -> np.ndarray:
     It is computed per segment so the thresholds, like the sums they
     police, depend only on the segment's own data.
     """
-    anchor = np.atleast_2d(anchor)
-    k, n = anchor.shape
-    sq = anchor * anchor
-    out = np.empty((k, segment_count(n, m)), dtype=np.float64)
-    for length in range(m, n + 1):
-        win = sliding_window_view(sq, length, axis=1)
-        out[:, _ids_for_length(n, m, length)] = win.max(axis=2)
-    return out
+    sq = np.square(np.atleast_2d(anchor))
+    return np.concatenate([sliding_window_view(sq, length, axis=1).max(axis=2)
+                           for length in range(m, sq.shape[1] + 1)], axis=1)
 
 
 def series_segment_sums(X: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
@@ -153,20 +135,13 @@ def window_deviations(X: np.ndarray, sums: tuple[np.ndarray, ...]) -> tuple[np.n
                  for length, total in enumerate(sums, start=m))
 
 
-@lru_cache(maxsize=32)
-def _length_major(n: int, m: int) -> np.ndarray:
-    # for each flat (start-major) segment id, its position in length-major order
-    return np.argsort(np.concatenate([_ids_for_length(n, m, length) for length in range(m, n + 1)]))
-
-
 def _window_dot(dev: tuple[np.ndarray, ...], rows, i) -> np.ndarray:
     # (rows, nseg) dot products of the deviations of rows and row(s) i over
     # each window; each is one contiguous length-L reduction, the same
-    # whichever rows are reduced alongside it
-    m = dev[0].shape[2]
-    n = m + len(dev) - 1
+    # whichever rows are reduced alongside it.  Stored segment-major, so
+    # the transpose the block products take is contiguous without a copy.
     spec = "jsl,jsl->js" if isinstance(i, slice) else "jsl,sl->js"
-    return np.concatenate([np.einsum(spec, d[rows], d[i]) for d in dev], axis=1)[:, _length_major(n, m)]
+    return np.concatenate([np.einsum(spec, d[rows], d[i]).T for d in dev]).T
 
 
 def series_segment_css(X: np.ndarray, dev: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +154,8 @@ def series_segment_css(X: np.ndarray, dev: tuple[np.ndarray, ...]) -> tuple[np.n
     m = dev[0].shape[2]
     rows = slice(None)
     css = _window_dot(dev, rows, rows)
-    _, lengths = segment_bounds(X.shape[1], m)
-    scale = segment_max_sq(X, m) * lengths[None, :]
+    lengths = np.repeat(np.arange(m, X.shape[1] + 1), [d.shape[1] for d in dev])
+    scale = segment_max_sq(X, m) * lengths
     if np.any(css < -NEGATIVE_GUARD_REL * scale):
         raise ConsistencyError("segment variance sum fell below the rounding guard")
     zero = css <= ZERO_FLOOR_REL * scale
@@ -242,5 +217,5 @@ class SegmentTable:
         return float(self.css_a[i]), float(self.css_b[i]), float(self.css_ab[i])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three flat per-segment vectors, start-major order."""
+        """The three flat per-segment vectors, in segment-id (length-major) order."""
         return self.css_a, self.css_b, self.css_ab

@@ -203,6 +203,25 @@ def test_pair_undefined_prints_na(in_tmp, tmp_path):
     assert all(line.split("\t")[1] == "NA" for line in dist[1:])
 
 
+def test_pair_part_r_uses_the_kernel_zero_flush(in_tmp, tmp_path):
+    # variation of 1e-7 relative is far above the kernel's zero floor, so
+    # every part has an r, as the scan's own HCC does
+    rng = np.random.default_rng(3)
+    a = 1 + 1e-7 * rng.normal(size=12)
+    b = a + 1e-8 * rng.normal(size=12)
+    p = tmp_path / "near.tsv"
+    write_dataset(Dataset(series=(TimeSeries("a", a), TimeSeries("b", b)), name="near"), p)
+    code, out, _ = run(["pair", "a", "b", "--input", str(p), "--min-part", "2"])
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines() if " part r: " in line)
+    bcc = [int(k) for k in out.split("BCC [")[1].split("]")[0].split(",")]
+    got = [float(v) for v in lines["BCC part r"].split()]  # no NA
+    ends = np.cumsum(bcc)
+    want = [np.corrcoef(a[e - k:e], b[e - k:e])[0, 1] for e, k in zip(ends, bcc)]
+    np.testing.assert_allclose(got, want, atol=1e-6)
+    assert "NA" not in lines["WCC part r"]
+
+
 def test_pair_unknown_id(in_tmp, toy_file):
     code, _, err = run(["pair", "g0", "zzz", "--input", str(toy_file)])
     assert code == 1
@@ -217,6 +236,32 @@ def test_clouds_output(in_tmp, toy_file):
     lines = Path("clouds.tsv").read_text().splitlines()
     assert lines[0] == "r_c\tvar_a\tvar_b\tcov"
     assert len(lines) == 250 + 1
+
+
+def per_row_clouds(clouds, p):
+    """The clouds writer's reference: one formatted row at a time."""
+    lines = ["r_c\tvar_a\tvar_b\tcov\n"]
+    for row in clouds:
+        r = None if np.isnan(row[0]) else float(row[0])
+        lines.append(format_number(r, p) + "\t" + "\t".join(f"{v:.{p}g}" for v in row[1:]) + "\n")
+    return "".join(lines).encode()
+
+
+def test_clouds_bulk_rendering_matches_per_row(in_tmp, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK_LINES", 50)  # 377 rows in 8 blocks
+    rng = np.random.default_rng(17)
+    step = np.repeat([1.0, -2.5, 3e3], [4, 5, 5])  # Undefined where parts fit the steps
+    b = 1e6 + 1e-4 * rng.normal(size=14)
+    p = tmp_path / "steps.tsv"
+    write_dataset(Dataset(series=(TimeSeries("step", step), TimeSeries("b", b)), name="steps"), p)
+    result = cli.run_pair(cli.load_dataset(p), "step", "b", 2, ScanOptions(clouds=True))
+    assert np.isnan(result.clouds[:, 0]).any()
+    for precision in (0, 6, 15):
+        out = f"clouds{precision}.tsv"
+        code, _, _ = run(["clouds", "step", "b", "--input", str(p), "--precision", str(precision),
+                          "--output", out])
+        assert code == 0
+        assert Path(out).read_bytes() == per_row_clouds(result.clouds, precision)
 
 
 # --------------------------------------------------------------- all pairs
@@ -331,6 +376,28 @@ def test_precision_must_be_a_non_negative_integer(in_tmp, toy_file, command, pre
     assert "--precision" in err
     assert list(out.iterdir()) == []
     assert not list(in_tmp.glob("*.partial"))
+
+
+@pytest.mark.parametrize("command", ["all-pairs", "time-corr"])
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+def test_threads_must_be_a_positive_integer(in_tmp, toy_file, command, threads):
+    code, _, err = run([command, "--input", str(toy_file), "--output", "out.tsv",
+                        f"--threads={threads}"])
+    assert code == 2
+    assert "--threads" in err
+    assert "loaded" not in err  # rejected before the dataset is read
+    assert not Path("out.tsv").exists()
+
+
+def test_threads_env_is_read_only_by_batch_commands(in_tmp, toy_file, monkeypatch):
+    monkeypatch.setenv("COMP_CORR_THREADS", "abc")
+    assert run(["count", "10"])[:2] == (0, "34\n")
+    code, _, _ = run(["pair", "g0", "g1", "--input", str(toy_file), "--min-part", "4"])
+    assert code == 0
+    code, _, err = run(["time-corr", "--input", str(toy_file), "--output", "tc.tsv"])
+    assert code == 1 and "COMP_CORR_THREADS" in err
+    code, _, _ = run(["time-corr", "--input", str(toy_file), "--output", "tc.tsv", "--threads", "1"])
+    assert code == 0
 
 
 def test_all_pairs_bad_filter(in_tmp, toy_file):

@@ -86,6 +86,29 @@ def test_all_pairs_deterministic_across_worker_counts(monkeypatch, pool_starts):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch, pool_starts):
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 23)  # 45 pairs in 2 chunks
+    ds = toy_dataset(S=10)
+    records, summary = collect(ds, JobConfig(m=4, workers=4))
+    assert pool_starts == [2]
+    assert summary.pairs_scanned == len(records) == 45
+
+
+def test_in_process_runs_release_their_context():
+    ds = toy_dataset(S=5)
+    collect(ds, JobConfig(m=4))
+    assert engine._CTX is None
+    run_versus_time(ds, JobConfig(m=4))
+    assert engine._CTX is None
+
+    def failing(records):
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        run_all_pairs(ds, JobConfig(m=4), failing)
+    assert engine._CTX is None
+
+
 def test_all_pairs_duplicate_series():
     base = np.arange(23.0) ** 1.5
     ds = Dataset(series=(TimeSeries("a", base), TimeSeries("b", base.copy())))

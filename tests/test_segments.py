@@ -5,6 +5,7 @@ from compcorr.segments import (
     SegmentTable,
     TimeSeries,
     segment_count,
+    segment_ids,
     segment_index,
 )
 
@@ -60,6 +61,29 @@ def test_segment_index_is_a_bijection():
         assert 0 <= sid < segment_count(n, m)
         seen.add(sid)
     assert len(seen) == segment_count(n, m)
+
+
+def test_segment_ids_are_length_major():
+    """Ids run through every length-m segment in start order, then length m + 1, ..."""
+    for n, m in [(6, 2), (13, 2), (23, 4)]:
+        lengths = np.concatenate([np.full(n - length + 1, length) for length in range(m, n + 1)])
+        starts = np.concatenate([np.arange(n - length + 1) for length in range(m, n + 1)])
+        ids = segment_ids(n, m, starts, lengths)
+        assert np.array_equal(ids, np.arange(segment_count(n, m)))
+        for start, length in all_segments(n, m):
+            assert segment_index(n, m, start, length) == ids[(starts == start) & (lengths == length)]
+
+
+def test_table_arrays_are_per_length_window_sums():
+    rng = np.random.default_rng(5)
+    n, m = 17, 3
+    a = TimeSeries("a", rng.normal(size=n))
+    b = TimeSeries("b", rng.normal(size=n) * 4.0)
+    table = SegmentTable.build(a, b, m)
+    for got, (x, y) in zip(table.arrays(), [(a, a), (b, b), (a, b)]):
+        want = [naive_css(x.values, y.values, start, length)
+                for length in range(m, n + 1) for start in range(n - length + 1)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_segment_index_rejects_out_of_range():
