@@ -4,8 +4,9 @@ Subcommands: pair, all-pairs, time-corr, synth, clouds, count.  Results go
 to files (tab-separated, reals at a configurable precision, Undefined as
 NA); summaries and progress go to stdout/stderr.  Distribution files,
 clouds and record tables are rendered in bulk, numbers by
-``engine.render_fixed`` and labels from cached byte tables, and read byte
-for byte as ``format_number`` and ``format_composition`` write them.
+``engine.render_fixed`` and composition labels by
+``engine.composition_labels``, and read byte for byte as ``format_number``
+and ``format_composition`` write them.
 Exit status is 0 only when the requested computation completed; aborted
 runs leave their partial output renamed with a .partial suffix.
 """
@@ -17,18 +18,18 @@ import sys
 import time
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .compositions import CompositionSpec, count_compositions, prefix_runs, tail_cap, tail_labels
+from .compositions import CompositionSpec, count_compositions
 from .corr import ScanOptions, ScanResult, comp_correlation
 from .datasets import DEFAULT_RANGES, FUNCTIONS, Dataset, SynthSpec, load_dataset, synth_dataset, write_dataset
 from .engine import (
     JobConfig,
     RECORD_HEADER,
     byte_rows,
+    composition_labels,
     format_composition,
     format_number,
     join_rows,
@@ -41,10 +42,7 @@ from .engine import (
 from .segments import ConsistencyError, TimeSeries
 
 PROGRESS_EVERY = 10_000
-# Most compositions per distribution-file run.  The label table then holds a
-# few thousand strings while each write still carries hundreds of lines.
-LABEL_ROWS = 1024
-# Lines rendered per distribution-file write, give or take one run.
+# Lines rendered per write of a distribution or clouds file.
 BLOCK_LINES = 8192
 
 
@@ -144,49 +142,23 @@ def _distribution_path(outdir: Path, dataset: str, id_a: str, id_b: str, spec: C
     return outdir / f"Output.{dataset}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt"
 
 
-@lru_cache(maxsize=4)
-def _run_table(n: int, m: int, label_rows: int):
-    """The distribution file's prefix runs, in O(runs) arrays.
-
-    Returns the head bytes of each run (``[`` and its prefix parts) as a
-    padded byte matrix, every tail label of remainders 0..cap as another,
-    each run's first row in the tail matrix, and its line count.
-    """
-    cap = tail_cap(n, m, label_rows)
-    labels = tail_labels(m, cap)
-    first = np.cumsum([0] + [len(row) for row in labels])
-    tails = byte_rows([label for row in labels for label in row])
-    heads, remainders = [], []
-    for prefix, remainder in prefix_runs(n, m, cap):
-        heads.append("[" + ",".join(map(str, prefix)) + ("," if prefix and remainder else ""))
-        remainders.append(remainder)
-    return byte_rows(heads), tails, first[remainders], np.diff(first)[remainders]
-
-
 def _write_distribution(path: Path, result: ScanResult, precision: int) -> None:
     """Write one ``composition<TAB>r_c`` line per composition, canonical order.
 
-    Renders whole prefix runs, about BLOCK_LINES lines at a time: each
-    line joins its run's head, a cached tail label and the value from
-    :func:`render_fixed`, and a block goes out in one write.  Lines read as
-    format_composition and format_number render them.
+    Renders BLOCK_LINES lines at a time: each line joins the label from
+    :func:`composition_labels` and the value from :func:`render_fixed`,
+    and a block goes out in one write.  Lines read as format_composition
+    and format_number render them.
     """
     if result.values is None:
         raise ValueError("scan was not asked to keep the distribution")
-    heads, tails, first, counts = _run_table(result.spec.n, result.spec.m, LABEL_ROWS)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # a block opens with the run that holds line k·BLOCK_LINES
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], BLOCK_LINES), side="right"))
     with _guarded_output(path, "wb") as out:
         out.write(b"composition\tr_c\n")
-        for r0, r1 in zip(cuts.tolist(), [*cuts[1:].tolist(), len(counts)]):
-            lo, hi = starts[r0], ends[r1 - 1]
-            run = np.repeat(np.arange(r0, r1), counts[r0:r1])
+        for lo in range(0, len(result.values), BLOCK_LINES):
+            block = result.values[lo:lo + BLOCK_LINES]
             out.write(join_rows([
-                heads.take(run, axis=0),
-                tails.take(first[run] + np.arange(lo, hi) - starts[run], axis=0), b"]\t",
-                render_fixed(result.values[lo:hi], precision), b"\n",
+                *composition_labels(result.spec, np.arange(lo, lo + len(block))), b"\t",
+                render_fixed(block, precision), b"\n",
             ]))
 
 

@@ -19,7 +19,6 @@ state, so memory use is independent of how many compositions exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 
@@ -169,26 +168,6 @@ def prefix_runs(n: int, m: int, cap: int) -> Iterator[tuple[tuple[int, ...], int
             prefix.pop()
 
     yield from rec([], n)
-
-
-@lru_cache(maxsize=8)
-def tail_labels(m: int, cap: int) -> tuple[tuple[str, ...], ...]:
-    """Comma-joined parts of every composition of each remainder 0..cap.
-
-    Entry r lists the labels of the compositions of r in canonical order,
-    e.g. ``("2,3", "3,2", "5")`` for r=5, m=2; remainder 0 has the single
-    empty label.  Built bottom-up by the same first-part recursion as
-    :func:`prefix_runs`.
-    """
-    labels: list[tuple[str, ...]] = [() for _ in range(cap + 1)]
-    labels[0] = ("",)
-    for r in range(m, cap + 1):
-        row: list[str] = []
-        for p in _first_parts(r, m):
-            head = str(p)
-            row.extend(head + "," + t if t else head for t in labels[r - p])
-        labels[r] = tuple(row)
-    return tuple(labels)
 
 
 def composition_at(spec: CompositionSpec, index: int) -> tuple[int, ...]:

@@ -22,12 +22,13 @@ satisfies a comparison.  A chunk's kept pairs travel as columns (row
 indices, hcc, pearson, lcc, and BCC and WCC as canonical composition
 indices).  Given a precision, the worker also renders them to text in
 bulk, so the parent only writes: :func:`render_fixed` turns each number
-column into fixed-point digits in a byte matrix, and labels come from a
-memo the worker keeps across its chunks.  ``format_number`` and
-``record_line`` remain the per-value reference that the bulk text
-matches byte for byte.  The batch entry points hand their pairs out through
-:class:`Records`, which builds each ``PairRecord`` from the columns only
-when it is read.
+column into fixed-point digits in a byte matrix, and
+:func:`composition_labels` reads BCC and WCC labels out of the one
+composition-label table, which distribution files use too.
+``format_number``, ``format_composition`` and ``record_line`` remain the
+per-value reference that the bulk text matches byte for byte.  The batch
+entry points hand their pairs out through :class:`Records`, which builds
+each ``PairRecord`` from the columns only when it is read.
 """
 from __future__ import annotations
 
@@ -37,11 +38,12 @@ import time
 from collections.abc import Sequence
 from contextlib import closing
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import _blocks
-from .compositions import CompositionSpec, composition_at, count_compositions
+from .compositions import CompositionSpec, composition_at, composition_counts, count_compositions, prefix_runs, tail_cap
 from .corr import ScanOptions, ScanResult, UNIT_EXCESS_TOL
 from .datasets import Dataset
 from .segments import (
@@ -58,6 +60,9 @@ _CELL_BUDGET = 4_194_304    # max cells of a (compositions x pairs) intermediate
 _VAR_SUM_BUDGET = 25_000_000  # max cells of the per-series variance-sum table
 
 TIME_ID = "time"
+# Most compositions per run of the composition-label table.  The table then
+# holds a few thousand tail labels while a run still spans hundreds of lines.
+LABEL_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +197,15 @@ def render_fixed(values: np.ndarray, precision: int) -> np.ndarray:
     -1e-9 read ``-0.000000``.  ``format`` renders the rest: |x| >= 10, and
     every value whose scaled fraction lies so near one half that float
     scaling might round it otherwise than Python's exact decimal rounding.
-    The band, max(10^p·|x|, 1)·2^-48, is 32 times the largest error of the
-    scaling.
+    The band, max(10^p·|x|, 1)·2^-52, is twice the largest error of the
+    scaling, one correctly rounded multiplication.
     """
     x = np.asarray(values, dtype=np.float64)
     p = precision
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.abs(x) * float(10 ** min(p, _FIXED_DIGITS))
         fast = ((np.abs(x) < 10) & (p <= _FIXED_DIGITS)
-                & (np.abs(scaled - np.floor(scaled) - 0.5) > np.maximum(scaled, 1.0) * 2.0 ** -48))
+                & (np.abs(scaled - np.floor(scaled) - 0.5) > np.maximum(scaled, 1.0) * 2.0 ** -52))
     q = np.rint(np.where(fast, scaled, 0.0)).astype(np.int64)
     fast &= q < 10 ** (min(p, _FIXED_DIGITS) + 1)  # one integer digit
     digits = np.empty((p + 1, len(x)), np.uint8)
@@ -263,16 +268,43 @@ class _Parts(dict):
         return got
 
 
-class _Labels(dict):
-    """Canonical composition index -> label as format_composition writes it."""
+@lru_cache(maxsize=4)
+def _label_table(n: int, m: int, label_rows: int):
+    """The canonical order of compositions of n, cut into prefix runs.
 
-    def __init__(self, spec: CompositionSpec):
-        super().__init__()
-        self.parts = _Parts(spec)
+    Returns, as padded byte matrices, each run's head (``[`` and its prefix
+    parts) and every tail label, with its ``]``, of remainders 0 and
+    m..cap; then, per run, the tail row of its first composition less its
+    first index, and the index one past its end.  The last head and tail
+    rows, empty and ``NA``, label index -1.
+    """
+    cap = tail_cap(n, m, label_rows)
+    tails = [",".join(map(str, parts)) + "]"
+             for r in (0, *range(m, cap + 1)) for parts, _ in prefix_runs(r, m, 0)]
+    heads, remainders = [], []
+    for prefix, remainder in prefix_runs(n, m, cap):
+        heads.append("[" + ",".join(map(str, prefix)) + ("," if prefix and remainder else ""))
+        remainders.append(remainder)
+    sizes = np.array(composition_counts(cap, m))  # zero for remainders 1..m-1
+    first = np.cumsum(sizes) - sizes
+    ends = np.cumsum(sizes[remainders])
+    return (byte_rows(heads + [""]), byte_rows(tails + ["NA"]),
+            first[remainders] - (ends - sizes[remainders]), ends)
 
-    def __missing__(self, index: int) -> str:
-        got = self[index] = format_composition(self.parts[index])
-        return got
+
+def composition_labels(spec: CompositionSpec, index) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of canonical composition indices, as two NUL-padded byte columns.
+
+    The columns are each label's run head and its tail with the ``]``.
+    Joined by :func:`join_rows`, row k reads as ``format_composition``
+    writes composition ``index[k]``, and ``NA`` where that index is -1.
+    """
+    heads, tails, offsets, ends = _label_table(spec.n, spec.m, LABEL_ROWS)
+    index = np.asarray(index, dtype=np.int64)
+    run = np.searchsorted(ends, index, side="right")
+    none = index < 0
+    return (heads.take(np.where(none, -1, run), axis=0),
+            tails.take(np.where(none, -1, offsets[run] + index), axis=0))
 
 
 class Records(Sequence):
@@ -284,10 +316,10 @@ class Records(Sequence):
     the run was given a precision, else None.
     """
 
-    def __init__(self, ids, labels: _Labels, a, b, hcc, pearson, lcc, bcc, wcc,
+    def __init__(self, ids, parts: _Parts, a, b, hcc, pearson, lcc, bcc, wcc,
                  text: str | None = None):
         self.ids = ids
-        self.labels = labels
+        self.parts = parts
         self.a, self.b = a, b
         self.columns = (a, b, hcc, pearson, lcc, bcc, wcc)
         self.text = text
@@ -308,7 +340,7 @@ class Records(Sequence):
         return NotImplemented
 
     def _records(self, columns):
-        ids, parts = self.ids, self.labels.parts
+        ids, parts = self.ids, self.parts
         for a, b, h, p, l, bc, wc in zip(*(col.tolist() for col in columns)):
             yield PairRecord(ids[a], ids[b], None if h != h else h, None if p != p else p,
                              None if l != l else l, parts[bc], parts[wc])
@@ -319,13 +351,12 @@ class Records(Sequence):
             return ""
         a, b, hcc, pe, lcc, bi, wi = self.columns
         ids = byte_rows(self.ids)
-        used, at = np.unique(np.concatenate([bi, wi]), return_inverse=True)
-        labels = byte_rows([self.labels[k] for k in used.tolist()])
         tab = b"\t"
         return join_rows([
             ids.take(a, axis=0), tab, ids.take(b, axis=0), tab, render_fixed(hcc, precision), tab,
             render_fixed(pe, precision), tab, render_fixed(lcc, precision), tab,
-            labels.take(at[:len(self)], axis=0), tab, labels.take(at[len(self):], axis=0), b"\n",
+            *composition_labels(self.parts.spec, bi), tab,
+            *composition_labels(self.parts.spec, wi), b"\n",
         ]).decode()
 
 
@@ -339,9 +370,8 @@ def _row_start(S: int, i: int) -> int:
 
 def _pair_at(S: int, p: int) -> tuple[int, int]:
     d = (2 * S - 1) ** 2 - 8 * p
+    # isqrt rounds down, so i is never below the row; it can only overshoot
     i = (2 * S - 1 - math.isqrt(d)) // 2
-    while _row_start(S, i + 1) <= p:
-        i += 1
     while _row_start(S, i) > p:
         i -= 1
     return i, i + 1 + (p - _row_start(S, i))
@@ -379,7 +409,7 @@ class _Ctx:
         self.j_step = max(1, _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS))
         self.var_sums = None
         self.ids: tuple[str, ...] = ()  # one per row, to name records
-        self.labels = _Labels(self.spec)
+        self.parts = _Parts(self.spec)
         self.filter: tuple[FilterClause, ...] = ()
         self.precision: int | None = None  # render kept records when set
 
@@ -525,18 +555,25 @@ def _chunk_worker(rg: tuple[int, int]):
     columns, undefined = _scan_columns(ctx, spans)
     text = None
     if ctx.precision is not None:
-        text = Records(ctx.ids, ctx.labels, *columns).render(ctx.precision)
+        text = Records(ctx.ids, ctx.parts, *columns).render(ctx.precision)
     return (hi - lo, undefined, *columns, text)
 
 
+def _processes(workers: int, chunks: int) -> int:
+    """Processes that scan ``chunks`` chunks given ``workers``: 1 runs them
+    in-process.  Fork starts every pool worker at once, so a pool starts
+    no more workers than there are chunks."""
+    return max(1, min(workers, chunks))
+
+
 def _chunk_results(ctx: _Ctx, ranges, workers: int):
-    """Chunk payloads in submission order.
+    """Chunk payloads in submission order, on ``workers`` (see _processes).
 
     A worker that dies outright breaks the pool, and the next payload
     raises BrokenProcessPool instead of waiting for it.
     """
     global _CTX
-    if workers == 1 or len(ranges) <= 1:
+    if workers == 1:
         _set_ctx(ctx)
         try:
             for rg in ranges:
@@ -547,8 +584,7 @@ def _chunk_results(ctx: _Ctx, ranges, workers: int):
     # imported here: a run on one worker never starts a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork starts every worker at once, so start no more than there are chunks
-    pool = ProcessPoolExecutor(min(workers, len(ranges)), initializer=_set_ctx, initargs=(ctx,))
+    pool = ProcessPoolExecutor(workers, initializer=_set_ctx, initargs=(ctx,))
     try:
         yield from pool.map(_chunk_worker, ranges)
     finally:
@@ -582,16 +618,18 @@ def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None,
     ctx.filter = config.filter
     ctx.precision = precision
     total = S * (S - 1) // 2
+    ranges = _chunk_ranges(total)
+    workers = _processes(config.workers, len(ranges))
 
     t0 = time.perf_counter()
     done = 0
     emitted = 0
     undefined = 0
-    with closing(_chunk_results(ctx, _chunk_ranges(total), config.workers)) as chunks:
+    with closing(_chunk_results(ctx, ranges, workers)) as chunks:
         for npairs, undef, *columns, text in chunks:
             done += npairs
             undefined += undef
-            records = Records(ctx.ids, ctx.labels, *columns, text=text)
+            records = Records(ctx.ids, ctx.parts, *columns, text=text)
             emitted += len(records)
             if records:
                 sink(records)
@@ -604,7 +642,7 @@ def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None,
         undefined_values=undefined,
         wall_seconds=wall,
         pairs_per_second=done / wall if wall > 0 else float("inf"),
-        workers=config.workers,
+        workers=workers,
     )
 
 
@@ -624,16 +662,17 @@ def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> Recor
     ctx.ids = (TIME_ID, *dataset.ids())
     ctx.filter = config.filter
     total = len(dataset)  # pair indices 0..S-1 are exactly (time, series_j)
+    ranges = _chunk_ranges(total)
     payloads = []
     done = 0
-    with closing(_chunk_results(ctx, _chunk_ranges(total), config.workers)) as chunks:
+    with closing(_chunk_results(ctx, ranges, _processes(config.workers, len(ranges)))) as chunks:
         for payload in chunks:
             payloads.append(payload[2:9])
             done += payload[0]
             if progress is not None:
                 progress(done, total)
     time_row, row, hcc, pe, lcc, bi, wi = (np.concatenate(col) for col in zip(*payloads))
-    return Records(ctx.ids, ctx.labels, row, time_row, hcc, pe, lcc, bi, wi)
+    return Records(ctx.ids, ctx.parts, row, time_row, hcc, pe, lcc, bi, wi)
 
 
 def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
@@ -675,4 +714,4 @@ def run_pair_list(dataset: Dataset, pairs, config: JobConfig) -> list[PairRecord
     ctx.ids = tuple(names)
     ctx.filter = config.filter
     columns, _ = _scan_columns(ctx, [(row[a], row[b], row[b] + 1) for a, b in pairs])
-    return list(Records(ctx.ids, ctx.labels, *columns))
+    return list(Records(ctx.ids, ctx.parts, *columns))

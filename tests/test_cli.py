@@ -3,6 +3,9 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -79,12 +82,12 @@ def line_by_line_distribution(result, precision):
         for parts, value in result.distribution())).encode()
 
 
-@pytest.mark.parametrize("label_rows", [1, 16, cli.LABEL_ROWS])
+@pytest.mark.parametrize("label_rows", [1, 16, engine.LABEL_ROWS])
 @pytest.mark.parametrize("n,m", [(18, 2), (20, 3), (23, 4)])
 def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatch, n, m, label_rows):
-    monkeypatch.setattr(cli, "LABEL_ROWS", label_rows)
+    monkeypatch.setattr(engine, "LABEL_ROWS", label_rows)
     runs = list(prefix_runs(n, m, tail_cap(n, m, label_rows)))
-    if label_rows < cli.LABEL_ROWS:
+    if label_rows < engine.LABEL_ROWS:
         # the small tables cut the file into many runs, some a whole composition
         assert len(runs) > 1 and any(rem == 0 for _, rem in runs)
     rng = np.random.default_rng(n * 100 + m)
@@ -109,11 +112,11 @@ def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatc
 
 def test_distribution_writer_memory_is_bounded(tmp_path):
     # the values vector alone is 6.6 MB at (31, 2); the writer holds O(runs)
-    # tables and one block of lines, never an array per composition
+    # label tables and one block of lines, never an array per composition
     rng = np.random.default_rng(31)
     a, b = (TimeSeries(k, rng.normal(size=31)) for k in "ab")
     result = scan(a, b, CompositionSpec(31, 2), ScanOptions(distribution=True))
-    cli._run_table.cache_clear()
+    engine._label_table.cache_clear()
     tracemalloc.start()
     try:
         _write_distribution(tmp_path / "d.txt", result, 6)
@@ -363,6 +366,52 @@ def test_all_pairs_worker_death_fails_the_run(in_tmp, toy_file, monkeypatch, poo
     full = Path("full.tsv").read_text().splitlines()
     assert 1 <= len(partial) <= 1 + 8 and partial == full[:len(partial)]
     assert multiprocessing.active_children() == []
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has exited
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
+                    or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="finds the pool's forked workers through /proc")
+def test_all_pairs_ctrl_c_stops_the_run_and_its_workers(tmp_path):
+    rng = np.random.default_rng(23)
+    walks = tuple(TimeSeries(f"w{i}", np.cumsum(rng.normal(size=23))) for i in range(200))
+    write_dataset(Dataset(series=walks, name="walks"), tmp_path / "walks.tsv")
+    assert len(walks) * (len(walks) - 1) // 2 > engine.CHUNK_PAIRS  # so a pool starts
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "compcorr.cli", "all-pairs", "--input", "walks.tsv", "--min-part", "2",
+         "--threads", "2", "--output", "ap.tsv"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        workers: list[int] = []
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(pid) for pid in children.read_text().split()]
+        assert len(workers) == 2, "the pool's workers never started"
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C in a terminal does
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 1
+    assert "interrupted" in err
+    assert (tmp_path / "ap.tsv.partial").exists() and not (tmp_path / "ap.tsv").exists()
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, workers))
 
 
 @pytest.mark.parametrize("command", ["pair g0 g1", "clouds g0 g1", "all-pairs", "time-corr"])

@@ -10,7 +10,6 @@ from compcorr.compositions import (
     enumerate_compositions,
     prefix_runs,
     tail_cap,
-    tail_labels,
     validate_composition,
 )
 
@@ -142,18 +141,19 @@ def test_exact_small_enumerations():
     ]
 
 
-def test_prefix_runs_with_tail_labels_spell_the_enumeration():
+def test_prefix_runs_spell_the_enumeration():
     for n, m in [(9, 2), (14, 2), (15, 3), (17, 4)]:
         counts = composition_counts(n, m)
         for limit in (1, 3, 10, counts[n]):
             cap = tail_cap(n, m, limit)
             assert counts[cap] <= limit and cap >= m
-            labels = tail_labels(m, cap)
             spelled = []
             for prefix, remainder in prefix_runs(n, m, cap):
                 assert remainder <= cap
-                spelled.extend(prefix + tuple(int(p) for p in t.split(",") if p)
-                               for t in labels[remainder])
+                # with cap 0, the runs of a remainder are its compositions
+                tails = [tail for tail, _ in prefix_runs(remainder, m, 0)]
+                assert len(tails) == counts[remainder]
+                spelled.extend(prefix + tail for tail in tails)
             assert spelled == list(enumerate_compositions(CompositionSpec(n, m)))
 
 

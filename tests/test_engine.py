@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from compcorr.engine import (
     JobConfig,
     PairRecord,
     Records,
+    composition_labels,
     format_composition,
     format_number,
+    join_rows,
     parse_filter,
     record_line,
     render_fixed,
@@ -28,7 +32,7 @@ from compcorr.engine import (
     run_versus_time,
     scan,
 )
-from compcorr.segments import TimeSeries
+from compcorr.segments import ConsistencyError, TimeSeries
 
 
 def toy_dataset(S=8, n=23, seed=7, scale=1.0):
@@ -92,6 +96,36 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, pool_starts):
     records, summary = collect(ds, JobConfig(m=4, workers=4))
     assert pool_starts == [2]
     assert summary.pairs_scanned == len(records) == 45
+
+
+def test_summary_counts_the_processes_that_ran(monkeypatch, pool_starts):
+    ds = toy_dataset(S=6)  # 15 pairs in one chunk run in-process
+    _, summary = collect(ds, JobConfig(m=4, workers=4))
+    assert pool_starts == [] and summary.workers == 1
+    assert summary.describe().endswith("on 1 worker(s)")
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 8)  # 15 pairs in 2 chunks
+    _, summary = collect(ds, JobConfig(m=4, workers=4))
+    assert pool_starts == [2] and summary.workers == 2
+
+
+def test_pair_index_triangle_matches_row_major_order():
+    for S in range(2, 61):
+        pairs = [(i, j) for i in range(S) for j in range(i + 1, S)]
+        assert [engine._pair_at(S, p) for p in range(len(pairs))] == pairs
+        for width in (1, 7, len(pairs)):
+            for lo in range(0, len(pairs), width):
+                hi = min(lo + width, len(pairs))
+                runs = list(engine._runs(S, lo, hi))
+                assert [(i, j) for i, j0, j1 in runs for j in range(j0, j1)] == pairs[lo:hi]
+                assert len({i for i, _, _ in runs}) == len(runs)  # one run per row
+
+
+def test_clamp_clips_rounding_only():
+    r = np.array([1 + 1e-13, -(1 + 1e-13), np.nan, 0.5])
+    engine._clamp(r)
+    assert r[0] == 1.0 and r[1] == -1.0 and np.isnan(r[2]) and r[3] == 0.5
+    with pytest.raises(ConsistencyError, match="exceeds 1"):
+        engine._clamp(np.array([0.0, np.nan, 1 + 1e-9]))
 
 
 def test_in_process_runs_release_their_context():
@@ -226,12 +260,13 @@ def test_render_fixed_matches_format_number():
     dyadic = rng.integers(1, 2**20, 300) / 2.0 ** rng.integers(1, 21, 300)  # exact halves
     for p in range(16):
         # decimal halfway points at this precision (as near as a double gets)
-        # and one ulp either side
+        # and one and two ulps either side
         half = (rng.integers(0, 10 ** min(p + 1, 15), 400) + 0.5) / 10.0 ** p
         half = half[half < 20]
+        up, down = np.nextafter(half, np.inf), np.nextafter(half, -np.inf)
         values = np.concatenate([
-            rng.uniform(-1, 1, 2000), rng.uniform(-20, 20, 200), special,
-            dyadic, -dyadic, half, -half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf),
+            rng.uniform(-1, 1, 2000), rng.uniform(-20, 20, 200), special, dyadic, -dyadic,
+            half, -half, up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf),
         ])
         # and a block that falls back whole
         for block in (values, np.array([12.5, -300.25, np.inf])):
@@ -243,15 +278,30 @@ def test_render_fixed_matches_format_number():
     assert rendered(render_fixed(np.array([0.1, -1.0]), 20)) == [format(0.1, ".20f"), format(-1.0, ".20f")]
 
 
+def test_render_fixed_takes_the_digit_path_at_precision_15(monkeypatch):
+    # the halfway band at p=15 is 10^15·|x|·2^-52, about 0.22·|x|: values
+    # spread evenly over [-1, 1] fall back to format about 22% of the time
+    fallbacks = []
+
+    def counting(value, spec):
+        fallbacks.append(value)
+        return builtins.format(value, spec)
+
+    monkeypatch.setattr(engine, "format", counting, raising=False)
+    values = np.random.default_rng(15).uniform(-1, 1, 20_000)
+    assert rendered(render_fixed(values, 15)) == [format_number(x, 15) for x in values.tolist()]
+    assert 0 < len(fallbacks) < 0.25 * len(values)
+
+
 def test_records_render_any_text_id_and_reject_nul():
     spec = CompositionSpec(6, 2)
     columns = (np.array([0, 1]), np.array([1, 2]), np.array([0.5, np.nan]),
                np.array([-0.25, 1.0]), np.array([-0.5, np.nan]), np.array([0, -1]), np.array([4, -1]))
     ids = ("α-1", "b", "série")
-    records = Records(ids, engine._Labels(spec), *columns)
+    records = Records(ids, engine._Parts(spec), *columns)
     assert records.render(3) == "".join(record_line(r, 3) + "\n" for r in records)
     with pytest.raises(ValueError, match="NUL"):
-        Records(("a\0", "b", "c"), engine._Labels(spec), *columns).render(3)
+        Records(("a\0", "b", "c"), engine._Parts(spec), *columns).render(3)
 
 
 def test_record_line_layout():
@@ -272,14 +322,30 @@ def reference_records(spec, ids, columns):
             for a, b, h, p, l, bc, wc in zip(*columns)]
 
 
+@pytest.mark.parametrize("label_rows", [1, 16, engine.LABEL_ROWS])
+@pytest.mark.parametrize("n, m", [(23, 4), (13, 2), (18, 2)])
+def test_composition_labels_match_format_composition(monkeypatch, n, m, label_rows):
+    monkeypatch.setattr(engine, "LABEL_ROWS", label_rows)
+    spec = CompositionSpec(n, m)
+    ncomp = count_compositions(spec)
+
+    def labels(index):
+        return join_rows([*composition_labels(spec, index), b"\n"]).decode().splitlines()
+
+    want = ["NA"] + [format_composition(composition_at(spec, k)) for k in range(ncomp)]
+    assert labels(np.arange(-1, ncomp)) == want
+    # any order, with repeats, as a record table asks for them
+    index = np.random.default_rng(n).integers(-1, ncomp, 3 * ncomp)
+    assert labels(index) == [want[k + 1] for k in index.tolist()]
+    with pytest.raises(IndexError):
+        composition_labels(spec, [ncomp])
+
+
 @pytest.mark.parametrize("n, m", [(23, 4), (13, 2)])
 def test_rendered_records_match_record_line(monkeypatch, n, m):
     spec = CompositionSpec(n, m)
     ncomp = count_compositions(spec)
-    labels = engine._Labels(spec)
-    assert labels[-1] == "NA" and labels.parts[-1] is None
-    for k in range(ncomp):
-        assert labels[k] == format_composition(composition_at(spec, k))
+    assert engine._Parts(spec)[-1] is None
 
     # hand-built columns: Undefined values, values printing as -0.000000, extremes
     rng = np.random.default_rng(n)
@@ -293,12 +359,14 @@ def test_rendered_records_match_record_line(monkeypatch, n, m):
         col[:2] = (-1.0, 1.0)
     columns = (rng.integers(0, 4, size), rng.integers(0, 4, size), *values,
                rng.integers(-1, ncomp, size), rng.integers(-1, ncomp, size))
-    records = Records(ids, engine._Labels(spec), *columns)
+    records = Records(ids, engine._Parts(spec), *columns)
     want = reference_records(spec, ids, columns)
     assert len(records) == size and list(records) == want
     assert records[-1] == want[-1] and records[3] == want[3]
-    for precision in (0, 6, 15):
-        assert records.render(precision) == "".join(record_line(r, precision) + "\n" for r in want)
+    for label_rows in (1, 16, engine.LABEL_ROWS):
+        monkeypatch.setattr(engine, "LABEL_ROWS", label_rows)
+        for precision in (0, 6, 15):
+            assert records.render(precision) == "".join(record_line(r, precision) + "\n" for r in want)
     assert "\t-0.000000\t" in records.render(6) and "\tNA\t" in records.render(6)
 
     # a run's chunks, with a constant series (every field NA, BCC and WCC index -1)
