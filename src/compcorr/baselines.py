@@ -3,9 +3,10 @@
 Pearson, Spearman (Pearson over average ranks), and the distance
 correlation of Szekely, Rizzo and Bakirov with the biased double-centered
 estimator.  All take equal-length 1-D arrays or TimeSeries values and
-return plain floats; Pearson and Spearman return None when undefined
-(a constant input), distance correlation returns 0.0 when either distance
-variance vanishes, matching its usual convention.
+return plain floats.  Pearson is the one-part composition's r_c, so it
+is None (Undefined) under the kernel's zero floor and clamps as the
+kernel does, and so does Spearman.  Distance correlation returns 0.0
+when either distance variance vanishes, its usual convention.
 """
 from __future__ import annotations
 
@@ -13,43 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corr import comp_correlation
 from .segments import TimeSeries
 
 
-def _as_values(x) -> np.ndarray:
-    if isinstance(x, TimeSeries):
-        return x.values
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D value vector")
-    if v.size < 2:
-        raise ValueError("need at least 2 observations")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
-    return v
-
-
-def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    a = _as_values(x)
-    b = _as_values(y)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
+def _check_pair(x, y) -> tuple[TimeSeries, TimeSeries]:
+    """Both inputs as series (TimeSeries validates raw values) of one length."""
+    a, b = (v if isinstance(v, TimeSeries) else TimeSeries(name, v)
+            for name, v in (("x", x), ("y", y)))
+    if a.n != b.n:
+        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
     return a, b
 
 
 def pearson(x, y) -> float | None:
     """Plain product-moment correlation; None if either input is constant."""
     a, b = _check_pair(x, y)
-    da = a - a.mean()
-    db = b - b.mean()
-    va = float(da @ da)
-    vb = float(db @ db)
-    floor_a = 1e-12 * float(np.max(a * a)) * a.size
-    floor_b = 1e-12 * float(np.max(b * b)) * b.size
-    if va <= floor_a or vb <= floor_b:
-        return None
-    r = float(da @ db) / float(np.sqrt(va * vb))
-    return max(-1.0, min(1.0, r))
+    return comp_correlation(a, b, (a.n,))
 
 
 def spearman(x, y) -> float | None:
@@ -59,7 +40,7 @@ def spearman(x, y) -> float | None:
     from scipy.stats import rankdata
 
     a, b = _check_pair(x, y)
-    return pearson(rankdata(a, method="average"), rankdata(b, method="average"))
+    return pearson(rankdata(a.values, method="average"), rankdata(b.values, method="average"))
 
 
 def distance_correlation(x, y) -> float:
@@ -70,8 +51,8 @@ def distance_correlation(x, y) -> float:
     lengths this package targets.
     """
     a, b = _check_pair(x, y)
-    A = _centered_distances(a)
-    B = _centered_distances(b)
+    A = _centered_distances(a.values)
+    B = _centered_distances(b.values)
     dcov2 = max(float((A * B).mean()), 0.0)
     dvar_x = float((A * A).mean())
     dvar_y = float((B * B).mean())

@@ -10,11 +10,14 @@ by every span), the one clamp, and vectorized extreme tracking.
 ``scan`` is a one-pair span, so ``pair``, ``clouds``, ``all-pairs`` and
 ``time-corr`` give bit-identical answers for the same pair.
 
-Chunk boundaries are fixed in pair-index space (never derived from the
-worker count), results are reassembled in submission order, and every
-array operation is row- or column-independent, so output files are
-byte-identical no matter how many workers run.  A worker that dies
-outright fails the run instead of hanging it.
+The batch runs (``run_all_pairs``, ``run_versus_time``, ``run_pair_list``)
+share one chunk loop over pair indices, of the pair-index triangle or of
+an explicit pair list, on ``JobConfig.workers`` processes.  Chunks are
+fixed in pair-index space (never derived from the worker count), results
+are reassembled in submission order, and every array operation is row- or
+column-independent, so output is byte-identical no matter how many
+workers run.  A worker that dies outright fails the run instead of
+hanging it.
 
 Records pass through an optional conjunctive filter (comparisons on hcc,
 lcc, pearson, abs(pearson)) before reaching the sink; Undefined never
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 import re
+import signal
 import time
 from collections.abc import Sequence
 from contextlib import closing
@@ -393,11 +397,16 @@ def _runs(S: int, lo: int, hi: int):
 class _Ctx:
     """Everything a worker needs; pickled once per worker at pool start.
 
-    The per-row tables are left to :meth:`load`, which runs in the process
-    that runs the kernel, so a pool's parent never holds them.
+    Rows of ``X`` are series named by ``ids``.  Pair index p is the p-th
+    pair of the pair-index triangle, or ``pairs[p]`` given ``pairs``, a
+    (P, 2) int64 array of row pairs.  The per-row tables are left to
+    :meth:`load`, which runs in the process that runs the kernel, so a
+    pool's parent never holds them.
     """
 
-    def __init__(self, X: np.ndarray, m: int):
+    def __init__(self, X: np.ndarray, m: int, ids: Sequence[str] = (),
+                 filter: tuple[FilterClause, ...] = (), precision: int | None = None,
+                 pairs: np.ndarray | None = None):
         S, n = X.shape
         self.spec = CompositionSpec(n, m)
         self.S = S
@@ -408,10 +417,11 @@ class _Ctx:
         self.blocks = _blocks.blocks_for(n, m)
         self.j_step = max(1, _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS))
         self.var_sums = None
-        self.ids: tuple[str, ...] = ()  # one per row, to name records
+        self.ids = tuple(ids)
         self.parts = _Parts(self.spec)
-        self.filter: tuple[FilterClause, ...] = ()
-        self.precision: int | None = None  # render kept records when set
+        self.filter = filter
+        self.precision = precision  # render kept records when set
+        self.pairs = pairs
 
     def load(self) -> "_Ctx":
         self.dev = window_deviations(self.X, series_segment_sums(self.X, self.m))
@@ -433,7 +443,15 @@ _CTX: _Ctx | None = None
 
 
 def _set_ctx(ctx: _Ctx) -> None:
+    """A pool worker's initializer.
+
+    A Ctrl-C reaches the parent too, which reports it, so a worker ends at
+    once, as a program with no SIGINT handler does.  A KeyboardInterrupt
+    would print a traceback while the worker loads or waits for a chunk.
+    """
     global _CTX
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGINT])  # blocked by _chunk_results
     _CTX = ctx.load()
 
 
@@ -527,9 +545,17 @@ def _filter_mask(clauses, hcc, pe, lcc) -> np.ndarray:
     return mask
 
 
-def _scan_columns(ctx: _Ctx, spans):
-    """Scan spans (i, j0, j1) in turn; the columns (a, b, hcc, pearson, lcc,
-    bcc, wcc) of the pairs that pass ``ctx.filter``, and the Undefined count."""
+def _chunk_worker(rg: tuple[int, int]):
+    """Scan pair indices [lo, hi): (pairs, undefined, a, b, hcc, pearson, lcc,
+    bcc, wcc, text) of the pairs that pass ``ctx.filter``, the text rendered
+    only when ``ctx.precision`` is set."""
+    ctx = _CTX
+    lo, hi = rg
+    if ctx.pairs is None:
+        spans = ((i, js, min(j1, js + ctx.j_step))
+                 for i, j0, j1 in _runs(ctx.S, lo, hi) for js in range(j0, j1, ctx.j_step))
+    else:
+        spans = ((i, j, j + 1) for i, j in ctx.pairs[lo:hi].tolist())
     parts = []
     undefined = 0
     for i, j0, j1 in spans:
@@ -539,42 +565,20 @@ def _scan_columns(ctx: _Ctx, spans):
                       hcc, pe, lcc, bi, wi))
     columns = [np.concatenate(col) for col in zip(*parts)]
     keep = _filter_mask(ctx.filter, *columns[2:5])
-    return tuple(col[keep] for col in columns), undefined
-
-
-def _chunk_worker(rg: tuple[int, int]):
-    """Scan one chunk: (pairs, undefined, a, b, hcc, pearson, lcc, bcc, wcc,
-    text), the text rendered only when ``ctx.precision`` is set."""
-    ctx = _CTX
-    lo, hi = rg
-    spans = (
-        (i, js, min(j1, js + ctx.j_step))
-        for i, j0, j1 in _runs(ctx.S, lo, hi)
-        for js in range(j0, j1, ctx.j_step)
-    )
-    columns, undefined = _scan_columns(ctx, spans)
-    text = None
-    if ctx.precision is not None:
-        text = Records(ctx.ids, ctx.parts, *columns).render(ctx.precision)
+    columns = [col[keep] for col in columns]
+    text = None if ctx.precision is None else Records(ctx.ids, ctx.parts, *columns).render(ctx.precision)
     return (hi - lo, undefined, *columns, text)
 
 
-def _processes(workers: int, chunks: int) -> int:
-    """Processes that scan ``chunks`` chunks given ``workers``: 1 runs them
-    in-process.  Fork starts every pool worker at once, so a pool starts
-    no more workers than there are chunks."""
-    return max(1, min(workers, chunks))
-
-
 def _chunk_results(ctx: _Ctx, ranges, workers: int):
-    """Chunk payloads in submission order, on ``workers`` (see _processes).
+    """Chunk payloads in submission order, on ``workers`` processes (1: in-process).
 
     A worker that dies outright breaks the pool, and the next payload
     raises BrokenProcessPool instead of waiting for it.
     """
     global _CTX
     if workers == 1:
-        _set_ctx(ctx)
+        _CTX = ctx.load()
         try:
             for rg in ranges:
                 yield _chunk_worker(rg)
@@ -586,7 +590,16 @@ def _chunk_results(ctx: _Ctx, ranges, workers: int):
 
     pool = ProcessPoolExecutor(workers, initializer=_set_ctx, initargs=(ctx,))
     try:
-        yield from pool.map(_chunk_worker, ranges)
+        # map forks the workers, then starts the pool's manager thread.  A
+        # Ctrl-C in between leaves workers that nothing stops, or a thread
+        # that shutdown cannot join, so SIGINT waits until map returns, and
+        # in the workers until _set_ctx
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            results = pool.map(_chunk_worker, ranges)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield from results
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -594,8 +607,44 @@ def _chunk_results(ctx: _Ctx, ranges, workers: int):
 # ---------------------------------------------------------------------------
 # public runs
 
-def _chunk_ranges(total: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK_PAIRS, total)) for lo in range(0, total, CHUNK_PAIRS)]
+def _run_chunks(ctx: _Ctx, total: int, workers: int, sink, progress=None) -> RunSummary:
+    """The one chunk loop of every batch run.
+
+    Scans pair indices [0, total) of ``ctx`` in fixed chunks of
+    ``CHUNK_PAIRS`` and calls ``sink`` with each chunk's :class:`Records`,
+    empty or not, in pair-index order, then ``progress(done_pairs, total)``
+    when given.
+    """
+    ranges = [(lo, min(lo + CHUNK_PAIRS, total)) for lo in range(0, total, CHUNK_PAIRS)]
+    # fork starts every pool worker at once, so no more than there are chunks
+    workers = max(1, min(workers, len(ranges)))
+    t0 = time.perf_counter()
+    done = emitted = undefined = 0
+    with closing(_chunk_results(ctx, ranges, workers)) as chunks:
+        for npairs, undef, *columns, text in chunks:
+            done += npairs
+            undefined += undef
+            records = Records(ctx.ids, ctx.parts, *columns, text=text)
+            emitted += len(records)
+            sink(records)
+            if progress is not None:
+                progress(done, total)
+    wall = time.perf_counter() - t0
+    return RunSummary(
+        pairs_scanned=done,
+        records_emitted=emitted,
+        undefined_values=undefined,
+        wall_seconds=wall,
+        pairs_per_second=done / wall if wall > 0 else float("inf"),
+        workers=workers,
+    )
+
+
+def _run_columns(ctx: _Ctx, total: int, workers: int, progress=None) -> list[np.ndarray]:
+    """:func:`_run_chunks` with every chunk's columns concatenated."""
+    chunks = []
+    _run_chunks(ctx, total, workers, chunks.append, progress)
+    return [np.concatenate(col) for col in zip(*(records.columns for records in chunks))]
 
 
 def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None,
@@ -613,37 +662,13 @@ def run_all_pairs(dataset: Dataset, config: JobConfig, sink, progress=None,
     S = len(dataset)
     if S < 2:
         raise ValueError(f"all-pairs run needs at least 2 series, dataset has {S}")
-    ctx = _Ctx(dataset.matrix, config.m)
-    ctx.ids = tuple(dataset.ids())
-    ctx.filter = config.filter
-    ctx.precision = precision
-    total = S * (S - 1) // 2
-    ranges = _chunk_ranges(total)
-    workers = _processes(config.workers, len(ranges))
+    ctx = _Ctx(dataset.matrix, config.m, dataset.ids(), config.filter, precision)
 
-    t0 = time.perf_counter()
-    done = 0
-    emitted = 0
-    undefined = 0
-    with closing(_chunk_results(ctx, ranges, workers)) as chunks:
-        for npairs, undef, *columns, text in chunks:
-            done += npairs
-            undefined += undef
-            records = Records(ctx.ids, ctx.parts, *columns, text=text)
-            emitted += len(records)
-            if records:
-                sink(records)
-            if progress is not None:
-                progress(done, total)
-    wall = time.perf_counter() - t0
-    return RunSummary(
-        pairs_scanned=done,
-        records_emitted=emitted,
-        undefined_values=undefined,
-        wall_seconds=wall,
-        pairs_per_second=done / wall if wall > 0 else float("inf"),
-        workers=workers,
-    )
+    def chunk(records: Records) -> None:
+        if records:
+            sink(records)
+
+    return _run_chunks(ctx, S * (S - 1) // 2, config.workers, chunk, progress)
 
 
 def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> Records:
@@ -658,21 +683,11 @@ def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> Recor
         t = TimeSeries(TIME_ID, np.asarray(dataset.time_labels, dtype=np.float64))
     else:
         t = TimeSeries(TIME_ID, np.arange(dataset.n, dtype=np.float64))
-    ctx = _Ctx(np.vstack([t.values[None, :], dataset.matrix]), config.m)
-    ctx.ids = (TIME_ID, *dataset.ids())
-    ctx.filter = config.filter
-    total = len(dataset)  # pair indices 0..S-1 are exactly (time, series_j)
-    ranges = _chunk_ranges(total)
-    payloads = []
-    done = 0
-    with closing(_chunk_results(ctx, ranges, _processes(config.workers, len(ranges)))) as chunks:
-        for payload in chunks:
-            payloads.append(payload[2:9])
-            done += payload[0]
-            if progress is not None:
-                progress(done, total)
-    time_row, row, hcc, pe, lcc, bi, wi = (np.concatenate(col) for col in zip(*payloads))
-    return Records(ctx.ids, ctx.parts, row, time_row, hcc, pe, lcc, bi, wi)
+    ctx = _Ctx(np.vstack([t.values[None, :], dataset.matrix]), config.m,
+               (TIME_ID, *dataset.ids()), config.filter)
+    # pair indices 0..S-1 are exactly (time, series_j)
+    time_row, row, *values = _run_columns(ctx, len(dataset), config.workers, progress)
+    return Records(ctx.ids, ctx.parts, row, time_row, *values)
 
 
 def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
@@ -710,8 +725,6 @@ def run_pair_list(dataset: Dataset, pairs, config: JobConfig) -> list[PairRecord
         return []
     names = list(dict.fromkeys(name for pair in pairs for name in pair))
     row = {name: k for k, name in enumerate(names)}
-    ctx = _Ctx(np.vstack([dataset.get(name).values for name in names]), config.m).load()
-    ctx.ids = tuple(names)
-    ctx.filter = config.filter
-    columns, _ = _scan_columns(ctx, [(row[a], row[b], row[b] + 1) for a, b in pairs])
-    return list(Records(ctx.ids, ctx.parts, *columns))
+    ctx = _Ctx(np.vstack([dataset.get(name).values for name in names]), config.m, names,
+               config.filter, pairs=np.array([(row[a], row[b]) for a, b in pairs], dtype=np.int64))
+    return list(Records(ctx.ids, ctx.parts, *_run_columns(ctx, len(pairs), config.workers)))

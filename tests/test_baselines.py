@@ -9,6 +9,7 @@ import pytest
 
 import compcorr
 from compcorr.baselines import BaselineReport, distance_correlation, pearson, spearman
+from compcorr.corr import comp_correlation
 from compcorr.segments import TimeSeries
 
 
@@ -55,6 +56,17 @@ def test_pearson_perfect_line():
     x = series("x", [0, 1, 2, 3])
     assert pearson(x, series("y", [1, 3, 5, 7])) == 1.0
     assert pearson(x, series("y", [7, 5, 3, 1])) == -1.0
+
+
+def test_pearson_is_the_one_part_composition_under_an_offset():
+    # unit variation on a 1e6 offset sits far above the kernel's zero floor
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=23)
+    y = x + 0.5 * rng.normal(size=23)
+    a, b = series("a", x + 1e6), series("b", y + 1e6)
+    r = pearson(a, b)
+    assert r is not None and r == comp_correlation(a, b, (23,))
+    assert r == pytest.approx(pearson(x, y), abs=1e-9)
 
 
 # --------------------------------------------------------------- spearman

@@ -512,22 +512,26 @@ def as_tuple(r):
 
 
 @pytest.mark.parametrize("n, m, seed", [(23, 4, 5), (13, 2, 6)])
-def test_every_entry_point_gives_the_same_bits(monkeypatch, n, m, seed):
-    monkeypatch.setattr(engine, "CHUNK_PAIRS", 16)  # several chunks, so 2 workers run a pool
+def test_every_entry_point_gives_the_same_bits(monkeypatch, n, m, seed, pool_starts):
+    # several chunks for every batch run (16 series), so 2 workers run a pool
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 8)
     ds = adversarial_dataset(n, seed)
     ids = ds.ids()
     pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
     spec = CompositionSpec(n, m)
     want = {(a, b): as_tuple(scan(ds.get(a), ds.get(b), spec)) for a, b in pairs}
     assert {(a, b): as_tuple(run_pair(ds, a, b, m)) for a, b in pairs} == want
-    assert {(r.id_a, r.id_b): as_tuple(r) for r in run_pair_list(ds, pairs, JobConfig(m=m))} == want
-    for workers in (1, 2):
-        records, _ = collect(ds, JobConfig(m=m, workers=workers))
-        assert {(r.id_a, r.id_b): as_tuple(r) for r in records} == want
-
     time = TimeSeries("time", np.arange(n, dtype=np.float64))
-    got = {r.id_a: as_tuple(r) for r in run_versus_time(ds, JobConfig(m=m))}
-    assert got == {s.id: as_tuple(scan(s, time, spec)) for s in ds.series}
+    want_time = {s.id: as_tuple(scan(s, time, spec)) for s in ds.series}
+    for workers in (1, 2):
+        config = JobConfig(m=m, workers=workers)
+        records, _ = collect(ds, config)
+        assert {(r.id_a, r.id_b): as_tuple(r) for r in records} == want
+        listed = run_pair_list(ds, pairs[::-1], config)
+        assert [(r.id_a, r.id_b) for r in listed] == pairs[::-1]  # list order
+        assert {(r.id_a, r.id_b): as_tuple(r) for r in listed} == want
+        assert {r.id_a: as_tuple(r) for r in run_versus_time(ds, config)} == want_time
+    assert pool_starts == [2, 2, 2]  # all pairs, the pair list and versus time
 
     # the kernel's extremes are the naive per-part oracle's values there
     for (a, b), (hcc, lcc, pe, bcc, wcc) in want.items():
