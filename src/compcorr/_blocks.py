@@ -23,6 +23,7 @@ than the block has compositions, so no intermediate exceeds the block's
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -88,8 +89,10 @@ class Incidence:
     """0/1 composition-by-segment operator of one block, matrix-free.
 
     ``dot(x)`` takes per-segment values (nseg,) or (nseg, k) and returns
-    one row per composition, the left-to-right sum from +0.0 of the rows
-    of x its parts select.  ``nnz`` counts the (composition, part) pairs.
+    one row per composition, in ``out`` when given: the left-to-right sum
+    from +0.0 of the rows of x its parts select.  Its temporaries come
+    from ``scratch`` when given.  ``nnz`` counts the (composition, part)
+    pairs.
     """
 
     __slots__ = ("prefix", "tail")
@@ -102,23 +105,49 @@ class Incidence:
     def nnz(self) -> int:
         return self.tail.count * self.prefix.size + self.tail.parts
 
-    def dot(self, x: np.ndarray) -> np.ndarray:
+    def dot(self, x: np.ndarray, out: np.ndarray | None = None,
+            scratch: Scratch | None = None) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
-        acc = np.zeros((1,) + x.shape[1:])
+        cols = x.shape[1:]
+        if out is None:
+            out = np.empty((self.tail.count,) + cols)
+        buffer = Scratch() if scratch is None else scratch
+        acc = np.zeros((1,) + cols)
         for s in self.prefix.tolist():
             acc = acc + x[s]
         if not self.tail.levels:
-            return acc
-        # leaves are collected level by level, then put in canonical order
-        leaves = np.empty((self.tail.count,) + x.shape[1:])
+            out[...] = acc
+            return out
+        # leaves are collected level by level, then put in canonical order;
+        # "clip" never clips a valid index, and spares take the copy it
+        # makes of out under the default mode="raise"
+        leaves = buffer("dot.leaves", (self.tail.count,) + cols)
         done = 0
-        for level in self.tail.levels:
-            acc = acc.take(level.parent, axis=0)
-            acc += x.take(level.seg, axis=0)
-            leaves[done:done + len(acc) - level.inner] = acc[level.inner:]
-            done += len(acc) - level.inner
-            acc = acc[:level.inner]
-        return leaves.take(self.tail.order, axis=0)
+        for depth, level in enumerate(self.tail.levels):
+            shape = (len(level.parent),) + cols
+            nodes = np.take(acc, level.parent, axis=0, mode="clip",
+                            out=buffer(("dot.acc", "dot.acc2")[depth % 2], shape))
+            nodes += np.take(x, level.seg, axis=0, mode="clip", out=buffer("dot.rows", shape))
+            leaves[done:done + len(nodes) - level.inner] = nodes[level.inner:]
+            done += len(nodes) - level.inner
+            acc = nodes[:level.inner]
+        return np.take(leaves, self.tail.order, axis=0, out=out, mode="clip")
+
+
+class Scratch(dict):
+    """Named float buffers, each reused while it is big enough.
+
+    Called with a name and a shape, returns a buffer of that shape.  The
+    span-sized arrays of a scan would otherwise be fresh pages on every
+    span, once the allocator has handed the last span's memory back.
+    """
+
+    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.get(name)
+        if buf is None or buf.size < size:
+            buf = self[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)

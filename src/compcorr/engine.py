@@ -1,14 +1,17 @@
 """The scan kernel and every entry point: one pair, a pair list, all pairs, series vs time.
 
 One kernel scans every pair, whichever entry point asks.  ``_Ctx`` holds
-the rows of a run; the process that runs the kernel builds their window
-deviations, flushed self sums and (for runs of many pairs) per-composition
-variance sums once.  ``_scan_span`` then scans row i against a span of
-rows: two-pass cross sums from the deviation table, one product per
-composition incidence block (``_blocks``, built once per (n, m) and shared
-by every span), the one clamp, and vectorized extreme tracking.
-``scan`` is a one-pair span, so ``pair``, ``clouds``, ``all-pairs`` and
-``time-corr`` give bit-identical answers for the same pair.
+the rows of a run; the process that runs the kernel builds their
+co-moment step table (``segments``), flushed self sums and (for runs of
+many pairs) per-composition variance sums, with each row's count of
+zero-variance compositions, once.  ``_scan_span`` then scans row i
+against a span of rows: cross sums from the step table, one product per
+composition incidence block (``_blocks``, built once per (n, m) and
+shared by every span), NaN for Undefined, the one clamp, and vectorized
+extreme tracking.  Its span-sized arrays live in buffers the process
+reuses from span to span.  ``scan`` is a one-pair span, so ``pair``,
+``clouds``, ``all-pairs`` and ``time-corr`` give bit-identical answers
+for the same pair.
 
 The batch runs (``run_all_pairs``, ``run_versus_time``, ``run_pair_list``)
 share one chunk loop over pair indices, of the pair-index triangle or of
@@ -53,10 +56,10 @@ from .datasets import Dataset
 from .segments import (
     ConsistencyError,
     TimeSeries,
-    segment_cross_css,
+    flush_cross,
     series_segment_css,
     series_segment_sums,
-    window_deviations,
+    window_sums,
 )
 
 CHUNK_PAIRS = 8192          # fixed chunk width in pair-index space
@@ -424,18 +427,21 @@ class _Ctx:
         self.pairs = pairs
 
     def load(self) -> "_Ctx":
-        self.dev = window_deviations(self.X, series_segment_sums(self.X, self.m))
-        self.css, self.zmask = series_segment_css(self.X, self.dev)
+        self.steps = series_segment_sums(self.X)
+        self.css, self.zmask = series_segment_css(self.X, self.m, self.steps)
+        self.scratch = _blocks.Scratch()  # span-sized buffers, reused span to span
         # a row's variance sums recur in every pair it takes part in; with
         # two rows there is one pair and nothing to reuse
         if self.S > 2 and self.S * self.ncomp <= _VAR_SUM_BUDGET:
-            self.var_sums = np.empty((self.S, self.ncomp))
+            self.var_sums = np.empty((self.ncomp, self.S))
             for blk in self.blocks:
-                cols = slice(blk.offset, blk.offset + blk.count)
+                comps = slice(blk.offset, blk.offset + blk.count)
                 # j_step rows at a time keep each product within the cell budget
                 for r0 in range(0, self.S, self.j_step):
                     rows = slice(r0, r0 + self.j_step)
-                    self.var_sums[rows, cols] = blk.matrix.dot(self.css[rows].T).T
+                    self.var_sums[comps, rows] = blk.matrix.dot(self.css[:, rows])
+            # compositions of each row with zero variance: Undefined in every pair
+            self.flat = np.count_nonzero(self.var_sums == 0.0, axis=0)
         return self
 
 
@@ -456,7 +462,10 @@ def _set_ctx(ctx: _Ctx) -> None:
 
 
 def _cross_css(ctx: _Ctx, i: int, j0: int, j1: int) -> np.ndarray:
-    return segment_cross_css(ctx.dev, ctx.zmask, i, j0, j1)
+    """Flushed cross sums (nseg, j1 - j0) of row i with rows j0..j1-1."""
+    out = ctx.scratch("cross", (len(ctx.steps), j1 - j0))
+    cross = window_sums(ctx.steps, ctx.m, slice(j0, j1), slice(i, i + 1), out)
+    return flush_cross(cross, ctx.zmask[:, i, None], ctx.zmask[:, j0:j1])
 
 
 def _clamp(r: np.ndarray) -> None:
@@ -467,6 +476,33 @@ def _clamp(r: np.ndarray) -> None:
         worst = float(np.nanmax(np.abs(r)))
         raise ConsistencyError(f"correlation magnitude {worst!r} exceeds 1 beyond rounding")
     np.clip(r, -1.0, 1.0, out=r)
+
+
+def _undefined(ctx: _Ctx, i: int, j0: int, j1: int) -> int:
+    """Undefined compositions of pairs (i, j), j in [j0, j1), from the rows'
+    zero-variance counts: |Z_i| + |Z_j| - |Z_i and Z_j|."""
+    flat = ctx.flat
+    count = int(flat[i]) * (j1 - j0) + int(flat[j0:j1].sum())
+    both = np.flatnonzero(flat[j0:j1]) + j0 if flat[i] else ()
+    if len(both):
+        zero = ctx.var_sums[:, i, None] == 0.0
+        count -= int(np.count_nonzero(zero & (ctx.var_sums[:, both] == 0.0)))
+    return count
+
+
+def _extremes(r: np.ndarray, nan_cols: np.ndarray):
+    """Per column of r: the first row of its maximum, that maximum, and the
+    same for its minimum.  Undefined entries (NaN) are skipped; only the
+    columns ``nan_cols`` may hold them, and one that holds nothing else
+    gives NaN."""
+    top, bottom = r.argmax(axis=0), r.argmin(axis=0)
+    if len(nan_cols):
+        part = r[:, nan_cols]
+        undef = np.isnan(part)
+        top[nan_cols] = np.where(undef, -np.inf, part).argmax(axis=0)
+        bottom[nan_cols] = np.where(undef, np.inf, part).argmin(axis=0)
+    cols = np.arange(r.shape[1])
+    return top, r[top, cols], bottom, r[bottom, cols]
 
 
 def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
@@ -482,57 +518,54 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
     worst = np.full(J, np.inf)
     worst_idx = np.full(J, -1, dtype=np.int64)
     pe = np.full(J, np.nan)
-    undef_count = 0
     # one product per block: the cross sums, and the self sums when not cached
     if ctx.var_sums is None:
-        x = np.vstack([ctx.css[i], ctx.css[j0:j1], css_ab]).T
+        x = np.concatenate((ctx.css[:, i, None], ctx.css[:, j0:j1], css_ab), axis=1)
+        undefined = 0
     else:
-        x = css_ab.T
-    x = np.ascontiguousarray(x)
+        x = css_ab
+        undefined = _undefined(ctx, i, j0, j1)
+        # only pairs with a row that has zero-variance compositions hold NaN
+        nan_cols = np.flatnonzero(ctx.flat[j0:j1] + ctx.flat[i])
 
     for blk in ctx.blocks:
         lo, hi = blk.offset, blk.offset + blk.count
-        y = blk.matrix.dot(x)
+        y = blk.matrix.dot(x, ctx.scratch("y", (blk.count, x.shape[1])), ctx.scratch)
         if ctx.var_sums is not None:
-            va = ctx.var_sums[i, lo:hi]
-            vb = ctx.var_sums[j0:j1, lo:hi].T
-            cov = y
+            va, vb, cov = ctx.var_sums[lo:hi, i, None], ctx.var_sums[lo:hi, j0:j1], y
         else:
-            va, vb, cov = y[:, 0], y[:, 1:J + 1], y[:, J + 1:]
-        undef = (va[:, None] == 0.0) | (vb == 0.0)
-        # in place: every (compositions x pairs) temporary is page faults
-        # once the allocator has handed the last span's memory back
+            va, vb, cov = y[:, :1], y[:, 1:J + 1], y[:, J + 1:]
+        # NaN marks Undefined: var_a or var_b is 0, and so is cov.  A
+        # one-pair span that keeps the values computes them in place
+        out = ctx.scratch("r", (blk.count, J)) if values is None else values[lo:hi, None]
+        r = np.multiply(va, vb, out=out)
         with np.errstate(invalid="ignore", divide="ignore"):
-            r = va[:, None] * vb
             np.divide(cov, np.sqrt(r, out=r), out=r)
-        r[undef] = np.nan
-        _clamp(r)
-        undef_count += int(undef.sum())
-        if values is not None:
-            values[lo:hi] = r[:, 0]
+        if ctx.var_sums is None:
+            nan = np.isnan(r)
+            undefined += int(np.count_nonzero(nan))
+            nan_cols = np.flatnonzero(nan.any(axis=0))
+        extremes = _extremes(r, nan_cols)
+        if np.any(extremes[1] > 1.0) or np.any(extremes[3] < -1.0):
+            _clamp(r)
+            extremes = _extremes(r, nan_cols)
         if sums is not None:
-            sums[lo:hi] = np.column_stack([va, vb[:, 0], cov[:, 0]])
+            sums[lo:hi] = np.column_stack([va[:, 0], vb[:, 0], cov[:, 0]])
 
-        masked = np.where(undef, -np.inf, r)
-        arg = masked.argmax(axis=0)
-        val = masked[arg, np.arange(J)]
+        arg, val, arg_low, val_low = extremes
         upd = val > best
         best[upd] = val[upd]
         best_idx[upd] = arg[upd] + lo
-
-        masked[undef] = np.inf
-        arg = masked.argmin(axis=0)
-        val = masked[arg, np.arange(J)]
-        upd = val < worst
-        worst[upd] = val[upd]
-        worst_idx[upd] = arg[upd] + lo
+        upd = val_low < worst
+        worst[upd] = val_low[upd]
+        worst_idx[upd] = arg_low[upd] + lo
 
         if hi == ctx.ncomp:
             pe = r[-1, :].copy()
 
     hcc = np.where(best_idx >= 0, best, np.nan)
     lcc = np.where(worst_idx >= 0, worst, np.nan)
-    return hcc, pe, lcc, best_idx, worst_idx, undef_count
+    return hcc, pe, lcc, best_idx, worst_idx, undefined
 
 
 def _filter_mask(clauses, hcc, pe, lcc) -> np.ndarray:

@@ -11,20 +11,27 @@ where the means are the segment's own.  Compositional variance and
 covariance are sums of these contributions over the parts of a
 composition, so one table answers every composition of the pair.
 
-``series_segment_sums`` and ``window_deviations`` build the deviations of
-every window of every row from the window's own mean, once per process;
-``series_segment_css`` (self sums, with the one zero-flush rule) and
-``segment_cross_css`` (cross sums) both reduce that table.  Each sum is
-two-pass within its own window, on the raw values, and each reduction is
-per element or per window.  So a contribution depends only on its window
+``series_segment_sums`` builds, once per process, one table per row of
+running co-moment steps (West's updating, anchored at each window's
+first value; n(n-1)/2 floats per row).  :func:`window_sums` turns the
+steps of two rows into every window's cross sum: a product of the two
+columns, then one in-place add per length.  ``series_segment_css`` takes
+the self sums the same way, with the one zero-flush rule, and
+:func:`flush_cross` makes a flushed segment's cross terms follow.  Every
+step reads only its own window's values, and every reduction is per
+element or per window, so a contribution depends only on its window
 (perturbing an observation outside it leaves it bit-identical), not on
-which other rows share the table, and the self sums are nonnegative.
-Flat segment ids (:func:`segment_ids`) are length-major, the order the
-tables are built in, so no table is ever permuted.  :class:`SegmentTable`
-is the one-pair public view of the same builder.
+which other rows share the table; the product is commutative, so (a, b)
+and (b, a) give the same bits and a self pair gives the self sums, which
+are sums of squares and never negative.  The anchor keeps a large common
+offset out of the steps.  Flat segment ids (:func:`segment_ids`) are
+length-major, the order the sums come out in, so no table is ever
+permuted.  :class:`SegmentTable` is the one-pair public view of the same
+builder.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # whole series') keeps every segment's value a function of its own data.
 ZERO_FLOOR_REL = 1e-24
 # Self sums more negative than this (relative, per segment) indicate a bug
-# rather than rounding; the two-pass build cannot produce them at all.
+# rather than rounding; sums of squared steps cannot produce them at all.
 NEGATIVE_GUARD_REL = 1e-9
 
 
@@ -98,64 +105,79 @@ def segment_index(n: int, m: int, start: int, length: int) -> int:
 
 
 def segment_max_sq(anchor: np.ndarray, m: int) -> np.ndarray:
-    """Per-segment maximum squared magnitude of ``anchor`` rows (k, n).
+    """Per-segment maximum squared magnitude of ``anchor`` rows (k, n), (nseg, k).
 
     This is the scale that anchors the zero floor and the rounding guard.
     It is computed per segment so the thresholds, like the sums they
     police, depend only on the segment's own data.
     """
     sq = np.square(np.atleast_2d(anchor))
-    return np.concatenate([sliding_window_view(sq, length, axis=1).max(axis=2)
-                           for length in range(m, sq.shape[1] + 1)], axis=1)
+    return np.concatenate([sliding_window_view(sq, length, axis=1).max(axis=2).T
+                           for length in range(m, sq.shape[1] + 1)])
 
 
-def series_segment_sums(X: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """Plain sums of every window of each row of X (k, n), one (k, n-L+1) array per length L = m..n.
+def series_segment_sums(X: np.ndarray) -> np.ndarray:
+    """The co-moment step table of every row of X (S, n): (n(n-1)/2, S).
 
-    Each window's sum accumulates left to right (sum(s, L) = sum(s, L-1) +
-    x[s+L-1]), elementwise across windows and rows, so it is a function of
-    its window's values alone.
+    Rows are k-major: for k = 2..n, one row per start t = 0..n-k, with
+    the dataset rows innermost.  With y_l = x[t+l] - x[t], the window's
+    values anchored at its first one, and s = y_0 + ... + y_{k-2} summed
+    left to right, the entry is
+
+        U[k, t] = sqrt((k-1)/k) * (y_{k-1} - s/(k-1)),
+
+    West's update of the centered sums (Welford 1962; Chan, Golub and
+    LeVeque 1983): the centered cross sum of rows a and b over the window
+    (t, L) is U_a[2,t] U_b[2,t] + ... + U_a[L,t] U_b[L,t], added in
+    increasing k (:func:`window_sums`).  Each entry reads x[t..t+k) alone.
     """
-    sums = []
-    total = X
-    for length in range(2, X.shape[1] + 1):
-        total = total[:, :-1] + X[:, length - 1:]
-        if length >= m:
-            sums.append(total)
-    return tuple(sums)
+    XT = np.ascontiguousarray(np.atleast_2d(X).T)
+    n = XT.shape[0]
+    steps = np.empty((n * (n - 1) // 2, XT.shape[1]))
+    s = np.zeros_like(XT[:-1])
+    at = 0
+    for k in range(2, n + 1):
+        width = n - k + 1
+        y = XT[k - 1:] - XT[:width]
+        s = s[:width]
+        np.multiply(y - s / (k - 1), math.sqrt((k - 1) / k), out=steps[at:at + width])
+        s += y
+        at += width
+    return steps
 
 
-def window_deviations(X: np.ndarray, sums: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Deviations of every window from its own mean, one (k, n-L+1, L) array per length.
+def window_sums(steps: np.ndarray, m: int, a, b, out=None) -> np.ndarray:
+    """Centered cross sums of columns a and b of a step table over every segment.
 
-    ``sums`` is ``series_segment_sums`` of X: this is the second pass.
+    ``a`` and ``b`` index columns of ``steps`` (:func:`series_segment_sums`)
+    and broadcast against each other.  Each window's sum adds its steps'
+    products in increasing k, in place: slice k of the product table
+    gains the head of slice k - 1.  Returns the (nseg, ...) segments of
+    length m and up, in segment-id order, as a view of ``out`` (or of a
+    new array).  With a == b these are the self sums.
     """
-    m = X.shape[1] - len(sums) + 1
-    return tuple(sliding_window_view(X, length, axis=1) - (total / length)[:, :, None]
-                 for length, total in enumerate(sums, start=m))
+    table = np.multiply(steps[:, a], steps[:, b], out=out)
+    n = (1 + math.isqrt(1 + 8 * len(steps))) // 2
+    at = 0
+    for k in range(3, n + 1):
+        width = n - k + 1
+        table[at + width + 1:at + 2 * width + 1] += table[at:at + width]
+        at += width + 1
+    return table[len(steps) - segment_count(n, m):]
 
 
-def _window_dot(dev: tuple[np.ndarray, ...], rows, i) -> np.ndarray:
-    # (rows, nseg) dot products of the deviations of rows and row(s) i over
-    # each window; each is one contiguous length-L reduction, the same
-    # whichever rows are reduced alongside it.  Stored segment-major, so
-    # the transpose the block products take is contiguous without a copy.
-    spec = "jsl,jsl->js" if isinstance(i, slice) else "jsl,sl->js"
-    return np.concatenate([np.einsum(spec, d[rows], d[i]).T for d in dev]).T
-
-
-def series_segment_css(X: np.ndarray, dev: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+def series_segment_css(X: np.ndarray, m: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row self css over every segment, with the zero floor applied.
 
-    ``dev`` is ``window_deviations`` of X (k, n); returns (css, zero_mask),
-    both (k, nseg).  A segment at or below the floor is flushed to exactly
-    0 and marked, and the cross sums of every pair it takes part in follow.
+    ``steps`` is ``series_segment_sums`` of X (S, n); returns (css,
+    zero_mask), both (nseg, S).  A segment at or below the floor is
+    flushed to exactly 0 and marked, and the cross sums of every pair it
+    takes part in follow.
     """
-    m = dev[0].shape[2]
     rows = slice(None)
-    css = _window_dot(dev, rows, rows)
-    lengths = np.repeat(np.arange(m, X.shape[1] + 1), [d.shape[1] for d in dev])
-    scale = segment_max_sq(X, m) * lengths
+    css = window_sums(steps, m, rows, rows)
+    lengths = np.repeat(np.arange(m, X.shape[1] + 1), np.arange(X.shape[1] - m + 1, 0, -1))
+    scale = segment_max_sq(X, m) * lengths[:, None]
     if np.any(css < -NEGATIVE_GUARD_REL * scale):
         raise ConsistencyError("segment variance sum fell below the rounding guard")
     zero = css <= ZERO_FLOOR_REL * scale
@@ -163,14 +185,10 @@ def series_segment_css(X: np.ndarray, dev: tuple[np.ndarray, ...]) -> tuple[np.n
     return css, zero
 
 
-def segment_cross_css(dev: tuple[np.ndarray, ...], zero: np.ndarray, i: int, j0: int, j1: int) -> np.ndarray:
-    """Cross css of row i with each of rows j0..j1-1, (j1 - j0, nseg).
-
-    A segment flushed on either side contributes no cross term, so
-    per-segment Cauchy-Schwarz survives the flush.
-    """
-    cross = _window_dot(dev, slice(j0, j1), i)
-    cross[zero[i][None, :] | zero[j0:j1]] = 0.0
+def flush_cross(cross: np.ndarray, zero_a: np.ndarray, zero_b: np.ndarray) -> np.ndarray:
+    """Zero, in place, the cross sums whose segment was flushed on either
+    side, so per-segment Cauchy-Schwarz survives the flush."""
+    cross[zero_a | zero_b] = 0.0
     return cross
 
 
@@ -206,10 +224,10 @@ class SegmentTable:
         if n < m:
             raise ValueError(f"series of length {n} cannot hold a part of length m={m}")
         X = np.vstack([a.values, b.values])
-        dev = window_deviations(X, series_segment_sums(X, m))
-        css, zero = series_segment_css(X, dev)
-        css_ab = segment_cross_css(dev, zero, 0, 1, 2)[0]
-        return cls(a.id, b.id, n, m, css[0], css[1], css_ab, zero[0], zero[1])
+        steps = series_segment_sums(X)
+        css, zero = series_segment_css(X, m, steps)
+        css_ab = flush_cross(window_sums(steps, m, 0, 1), zero[:, 0], zero[:, 1])
+        return cls(a.id, b.id, n, m, css[:, 0], css[:, 1], css_ab, zero[:, 0], zero[:, 1])
 
     def segment_contrib(self, start: int, length: int) -> tuple[float, float, float]:
         """(css_a, css_b, css_ab) for the segment at ``start`` of ``length``."""

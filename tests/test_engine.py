@@ -1,4 +1,5 @@
 import builtins
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from compcorr.compositions import (
     count_compositions,
     enumerate_compositions,
 )
-from compcorr.corr import comp_correlation
+from compcorr.corr import ScanOptions, comp_correlation
 from compcorr.datasets import Dataset
 from compcorr.engine import (
     RECORD_HEADER,
@@ -32,7 +33,7 @@ from compcorr.engine import (
     run_versus_time,
     scan,
 )
-from compcorr.segments import ConsistencyError, TimeSeries
+from compcorr.segments import ZERO_FLOOR_REL, ConsistencyError, TimeSeries
 
 
 def toy_dataset(S=8, n=23, seed=7, scale=1.0):
@@ -128,6 +129,23 @@ def test_clamp_clips_rounding_only():
         engine._clamp(np.array([0.0, np.nan, 1 + 1e-9]))
 
 
+def test_kernel_clamps_affine_copies_to_unit_correlation():
+    # r of an affine copy rounds past 1 on about 1 composition in 10; the
+    # clamp makes it 1 and the first composition at 1 the BCC (or WCC)
+    spec = CompositionSpec(13, 2)
+    comps = list(enumerate_compositions(spec))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=13) * 10.0 ** int(rng.integers(-3, 4))
+        sign = 1.0 if seed % 2 else -1.0
+        res = scan(TimeSeries("a", a), TimeSeries("b", sign * 3.0 * a + 7.0), spec,
+                   ScanOptions(distribution=True))
+        assert np.all(np.abs(res.values) <= 1.0)
+        extreme, at = (res.hcc, res.bcc) if sign > 0 else (res.lcc, res.wcc)
+        assert extreme == sign
+        assert at == comps[int(np.flatnonzero(res.values == sign)[0])]
+
+
 def test_in_process_runs_release_their_context():
     ds = toy_dataset(S=5)
     collect(ds, JobConfig(m=4))
@@ -163,6 +181,56 @@ def test_all_pairs_constant_series_yields_undefined_record():
     assert r.bcc is None and r.wcc is None
     assert summary.undefined_values > 0
     assert "NA" in record_line(r)
+
+
+def test_undefined_counts_are_the_brute_force_count(monkeypatch, pool_starts):
+    """Each run's Undefined count, taken from the rows' zero-variance counts,
+    is the number of compositions the naive oracle calls Undefined."""
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)  # several chunks, so 2 workers run a pool
+    summaries = []
+    run_chunks = engine._run_chunks
+
+    def recording(*args, **kwargs):
+        summaries.append(run_chunks(*args, **kwargs))
+        return summaries[-1]
+
+    monkeypatch.setattr(engine, "_run_chunks", recording)
+    n, m = 13, 2
+    t = np.arange(n, dtype=np.float64)
+    rng = np.random.default_rng(3)
+    ds = Dataset(series=tuple(TimeSeries(name, values) for name, values in (
+        ("flat", np.full(n, 2.5)),
+        ("step", np.where(t < 6, 5.0, 8.0)),
+        ("step_too", np.where(t < 6, -1.0, 3.0)),  # the same zero-variance compositions
+        ("step_late", np.where(t < 9, 0.0, 1e6)),
+        ("stair", np.select([t < 4, t < 8], [1.0, -2.0], 4.0)),
+        ("noise", rng.normal(size=n)),
+        ("walk", np.cumsum(rng.normal(size=n)) + 1e6),
+    )))
+    time = TimeSeries("time", t)
+    comps = list(enumerate_compositions(CompositionSpec(n, m)))
+
+    def brute(x, y):
+        return sum(comp_correlation(x, y, parts) is None for parts in comps)
+
+    ids = ds.ids()
+    pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
+    listed = pairs[::-2] + [("step", "step"), ("flat", "flat"), ("noise", "noise")]
+    count = {(a, b): brute(ds.get(a), ds.get(b)) for a, b in pairs + listed}
+    want = [sum(count[pair] for pair in pairs), sum(count[pair] for pair in listed),
+            sum(brute(x, time) for x in ds.series)]
+    assert 0 < want[0] < len(pairs) * len(comps)
+    for workers in (1, 2):
+        config = JobConfig(m=m, workers=workers)
+        summaries.clear()
+        collect(ds, config)
+        run_pair_list(ds, listed, config)
+        run_versus_time(ds, config)
+        assert [s.undefined_values for s in summaries] == want
+    assert pool_starts == [2, 2, 2]
+    for a, b in pairs:
+        got = scan(ds.get(a), ds.get(b), CompositionSpec(n, m), ScanOptions(distribution=True))
+        assert got.n_undefined == np.count_nonzero(np.isnan(got.values)) == count[a, b]
 
 
 def test_all_pairs_filter():
@@ -540,6 +608,67 @@ def test_every_entry_point_gives_the_same_bits(monkeypatch, n, m, seed, pool_sta
         for value, parts in ((hcc, bcc), (lcc, wcc), (pe, (n,))):
             if value is not None:
                 assert value == pytest.approx(comp_correlation(x, y, parts), abs=1e-9)
+
+
+def reference_steps(x):
+    """Co-moment steps {(k, t): U} of one row in plain floats, in the documented
+    order: anchor at x[t], running sum left to right, step times sqrt((k-1)/k)."""
+    n = len(x)
+    steps = {}
+    for t in range(n - 1):
+        y = [x[t + l] - x[t] for l in range(n - t)]
+        s = y[0]
+        for k in range(2, n - t + 1):
+            steps[k, t] = math.sqrt((k - 1) / k) * (y[k - 1] - s / (k - 1))
+            s = s + y[k - 1]
+    return steps
+
+
+def reference_window(u, v, t, length):
+    """A window's centered cross sum: products of steps added in increasing k."""
+    total = u[2, t] * v[2, t]
+    for k in range(3, length + 1):
+        total = total + u[k, t] * v[k, t]
+    return total
+
+
+@pytest.mark.parametrize("n, m", [(23, 4), (31, 2)])
+def test_segment_sums_match_a_plain_float_reference_bit_for_bit(n, m):
+    rng = np.random.default_rng(n)
+    t = np.arange(n)
+    X = np.array([
+        rng.normal(size=n),
+        rng.normal(size=n) + 1e6,
+        rng.normal(size=n) * 1e-3 + 1e6,
+        np.full(n, 2.5),
+        np.full(n, -1e6),
+        np.where(t < n // 2, 5.0, 8.0),
+        np.where(t < n // 3, 1e6, -3.0),
+        rng.normal(size=n) + 1e4 * (t >= 7),
+        rng.normal(size=n) * 1e-6,
+    ])
+    S = len(X)
+    rows = X.tolist()
+    steps = [reference_steps(x) for x in rows]
+    segments = [(start, length) for length in range(m, n + 1) for start in range(n - length + 1)]
+    flat = [[reference_window(u, u, start, length)
+             <= ZERO_FLOOR_REL * (max(v * v for v in x[start:start + length]) * length)
+             for start, length in segments] for x, u in zip(rows, steps)]
+    want = {}
+    for a in range(S):
+        for b in range(S):
+            want[a, b] = np.array([0.0 if fa or fb else reference_window(steps[a], steps[b], *seg)
+                                   for seg, fa, fb in zip(segments, flat[a], flat[b])])
+
+    ctx = engine._Ctx(X, m).load()
+    for a in range(S):
+        assert ctx.css[:, a].tobytes() == want[a, a].tobytes()  # the sign of zero included
+    # spans of width 1, 7 and all rows, each against every row i (i in the span too)
+    for j0, j1 in [(j, j + 1) for j in range(S)] + [(1, 8), (0, S)]:
+        for i in range(S):
+            got = engine._cross_css(ctx, i, j0, j1)
+            for j in range(j0, j1):
+                assert got[:, j - j0].tobytes() == want[i, j].tobytes(), (i, j)
 
 
 def test_all_pairs_at_n34_m2():
