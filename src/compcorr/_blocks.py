@@ -135,18 +135,18 @@ class Incidence:
 
 
 class Scratch(dict):
-    """Named float buffers, each reused while it is big enough.
+    """Named buffers, float unless told otherwise, each reused while it is big enough.
 
     Called with a name and a shape, returns a buffer of that shape.  The
     span-sized arrays of a scan would otherwise be fresh pages on every
     span, once the allocator has handed the last span's memory back.
     """
 
-    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
         buf = self.get(name)
         if buf is None or buf.size < size:
-            buf = self[name] = np.empty(size)
+            buf = self[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
 

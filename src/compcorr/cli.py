@@ -6,7 +6,10 @@ NA); summaries and progress go to stdout/stderr.  Distribution files,
 clouds and record tables are rendered in bulk, numbers by
 ``engine.render_fixed`` and composition labels by
 ``engine.composition_labels``, and read byte for byte as ``format_number``
-and ``format_composition`` write them.
+and ``format_composition`` write them.  ``pair``, ``clouds`` and
+``all-pairs --emit-distribution`` stream their one-pair files: the scan
+hands each composition block to the file's writer, which writes
+BLOCK_LINES lines at a time, so no array holds a value per composition.
 Exit status is 0 only when the requested computation completed; aborted
 runs leave their partial output renamed with a .partial suffix.
 """
@@ -23,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .compositions import CompositionSpec, count_compositions
-from .corr import ScanOptions, ScanResult, comp_correlation
+from ._blocks import Scratch
+from .corr import ScanOptions, comp_correlation
 from .datasets import DEFAULT_RANGES, FUNCTIONS, Dataset, SynthSpec, load_dataset, synth_dataset, write_dataset
 from .engine import (
     JobConfig,
@@ -38,6 +42,7 @@ from .engine import (
     run_all_pairs,
     run_pair,
     run_versus_time,
+    scan,
 )
 from .segments import ConsistencyError, TimeSeries
 
@@ -142,24 +147,87 @@ def _distribution_path(outdir: Path, dataset: str, id_a: str, id_b: str, spec: C
     return outdir / f"Output.{dataset}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt"
 
 
-def _write_distribution(path: Path, result: ScanResult, precision: int) -> None:
+class _Lines:
+    """A one-pair scan's sink that writes its file BLOCK_LINES lines at a time.
+
+    The scan's blocks, one column or several, arrive in canonical order
+    and gather in one group buffer of BLOCK_LINES rows.  Each full group,
+    and the last, goes out in one write: ``render(first, *columns)``
+    gives the group's byte columns, ``first`` being its first canonical
+    composition index, and :func:`join_rows` joins them in a buffer
+    reused group to group.  So memory is one block and one group,
+    whatever n.
+    """
+
+    def __init__(self, out, render, width: int):
+        self.out = out
+        self.render = render
+        self.rows = np.empty((width, BLOCK_LINES))
+        self.done = self.held = 0
+        self.scratch = Scratch()
+
+    def __call__(self, offset: int, *columns) -> None:
+        at, count = 0, len(columns[0])
+        while at < count:
+            take = min(BLOCK_LINES - self.held, count - at)
+            for row, col in zip(self.rows, columns):
+                row[self.held:self.held + take] = col[at:at + take]
+            self.held += take
+            at += take
+            if self.held == BLOCK_LINES:
+                self.flush()
+
+    def flush(self) -> None:
+        if self.held:
+            columns = self.render(self.done, *self.rows[:, :self.held])
+            self.out.write(join_rows(columns, self.scratch))
+            self.done += self.held
+            self.held = 0
+
+
+def _write_lines(path: Path, header: bytes, spec: CompositionSpec, scan, render, width: int = 1):
+    """Write a one-pair scan's file: the header, then one line per composition.
+
+    ``scan(sink)`` runs the scan with a :class:`_Lines` of ``render`` as
+    its per-block sink; its result is returned.  A scan that fails, or
+    hands over other than every composition, leaves a .partial file.
+    """
+    with _guarded_output(path, "wb") as out:
+        out.write(header)
+        lines = _Lines(out, render, width)
+        result = scan(lines)
+        lines.flush()
+        total = count_compositions(spec)
+        if lines.done != total:
+            raise ValueError(f"the scan delivered {lines.done} of {total} compositions")
+    return result
+
+
+def _write_distribution(path: Path, spec: CompositionSpec, precision: int, scan):
     """Write one ``composition<TAB>r_c`` line per composition, canonical order.
 
-    Renders BLOCK_LINES lines at a time: each line joins the label from
+    ``scan`` as for :func:`_write_lines`.  Each line joins the label from
     :func:`composition_labels` and the value from :func:`render_fixed`,
-    and a block goes out in one write.  Lines read as format_composition
-    and format_number render them.
+    and reads as format_composition and format_number render them.
     """
-    if result.values is None:
-        raise ValueError("scan was not asked to keep the distribution")
-    with _guarded_output(path, "wb") as out:
-        out.write(b"composition\tr_c\n")
-        for lo in range(0, len(result.values), BLOCK_LINES):
-            block = result.values[lo:lo + BLOCK_LINES]
-            out.write(join_rows([
-                *composition_labels(result.spec, np.arange(lo, lo + len(block))), b"\t",
-                render_fixed(block, precision), b"\n",
-            ]))
+    def render(first, values):
+        return [*composition_labels(spec, range(first, first + len(values))), b"\t",
+                render_fixed(values, precision), b"\n"]
+
+    return _write_lines(path, b"composition\tr_c\n", spec, scan, render)
+
+
+def _write_clouds(path: Path, spec: CompositionSpec, precision: int, scan):
+    """Write one ``r_c<TAB>var_a<TAB>var_b<TAB>cov`` line per composition,
+    r_c as format_number writes it and the rest as ``%.{precision}g``;
+    ``scan`` as for :func:`_write_lines`."""
+    spec_g = f".{precision}g"
+
+    def render(first, values, *sums):
+        va, vb, cov = (byte_rows([format(v, spec_g) for v in col.tolist()]) for col in sums)
+        return [render_fixed(values, precision), b"\t", va, b"\t", vb, b"\t", cov, b"\n"]
+
+    return _write_lines(path, b"r_c\tvar_a\tvar_b\tcov\n", spec, scan, render, width=4)
 
 
 def _part_correlations(a, b, parts) -> list[float | None]:
@@ -197,12 +265,12 @@ def _cmd_pair(args) -> int:
     ds = _load(args)
     spec = CompositionSpec(ds.n, args.min_part)
     id_a, id_b = args.id_a, args.id_b
-    result = run_pair(ds, id_a, id_b, args.min_part,
-                      ScanOptions(distribution=True))
+    a, b = ds.get(id_a), ds.get(id_b)  # an unknown id fails before any file is opened
     outdir = Path(args.output) if args.output else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     dist_path = _distribution_path(outdir, ds.name, id_a, id_b, spec)
-    _write_distribution(dist_path, result, args.precision)
+    result = _write_distribution(dist_path, spec, args.precision,
+                                 lambda sink: scan(a, b, spec, sink=sink))
 
     p = args.precision
     print(f"pair {id_a} vs {id_b}: n={spec.n} m={spec.m} "
@@ -211,7 +279,6 @@ def _cmd_pair(args) -> int:
     print(f"HCC {format_number(result.hcc, p)}  BCC {format_composition(result.bcc)}")
     print(f"r   {format_number(result.pearson, p)}")
     print(f"LCC {format_number(result.lcc, p)}  WCC {format_composition(result.wcc)}")
-    a, b = ds.get(id_a), ds.get(id_b)
     for label, parts in (("BCC", result.bcc), ("WCC", result.wcc)):
         if parts is None:
             continue
@@ -227,18 +294,11 @@ def _cmd_clouds(args) -> int:
     ids = ds.ids()
     id_a = args.id_a or ids[0]
     id_b = args.id_b or (ids[1] if len(ids) > 1 else ids[0])
-    result = run_pair(ds, id_a, id_b, args.min_part, ScanOptions(clouds=True))
+    a, b = ds.get(id_a), ds.get(id_b)
     out = Path(args.output) if args.output else Path(
         f"Clouds.{ds.name}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt")
-    p = args.precision
-    spec_g = f".{p}g"
-    with _guarded_output(out, "wb") as fh:
-        fh.write(b"r_c\tvar_a\tvar_b\tcov\n")
-        # BLOCK_LINES rows per write; r_c reads as format_number, the rest as %g
-        for lo in range(0, len(result.clouds), BLOCK_LINES):
-            block = result.clouds[lo:lo + BLOCK_LINES]
-            va, vb, cov = (byte_rows([format(v, spec_g) for v in col]) for col in block[:, 1:].T.tolist())
-            fh.write(join_rows([render_fixed(block[:, 0], p), b"\t", va, b"\t", vb, b"\t", cov, b"\n"]))
+    result = _write_clouds(out, spec, args.precision,
+                           lambda sink: scan(a, b, spec, ScanOptions(clouds=True), sink))
     print(f"wrote {out}: {result.n_compositions} compositions "
           f"({result.n_undefined} undefined)")
     return 0
@@ -267,8 +327,9 @@ def _cmd_all_pairs(args) -> int:
     if args.emit_distribution:
         outdir = out.parent
         for id_a, id_b in kept:
-            res = run_pair(ds, id_a, id_b, args.min_part, ScanOptions(distribution=True))
-            _write_distribution(_distribution_path(outdir, ds.name, id_a, id_b, spec), res, p)
+            a, b = ds.get(id_a), ds.get(id_b)
+            _write_distribution(_distribution_path(outdir, ds.name, id_a, id_b, spec), spec, p,
+                                lambda sink: scan(a, b, spec, sink=sink))
         print(f"wrote {len(kept)} distribution files to {outdir}")
     return 0
 

@@ -9,9 +9,16 @@ against a span of rows: cross sums from the step table, one product per
 composition incidence block (``_blocks``, built once per (n, m) and
 shared by every span), NaN for Undefined, the one clamp, and vectorized
 extreme tracking.  Its span-sized arrays live in buffers the process
-reuses from span to span.  ``scan`` is a one-pair span, so ``pair``,
-``clouds``, ``all-pairs`` and ``time-corr`` give bit-identical answers
-for the same pair.
+reuses from span to span.  Each row enters the kernel times an exact
+power of two that puts its largest magnitude in [0.5, 1), so no square
+or product overflows or underflows whatever the data's scale, and r_c
+keeps every bit.  ``scan`` is a one-pair span, so ``pair``, ``clouds``,
+``all-pairs`` and ``time-corr`` give bit-identical answers for the same
+pair.  A one-pair scan hands its per-composition rows (r_c, and the
+variance and covariance sums of a point cloud) to a sink block by
+block: ``ScanOptions`` keeps them as whole vectors for library callers,
+and the CLI's writers stream them to their files, so memory there is a
+block, not a value per composition.
 
 The batch runs (``run_all_pairs``, ``run_versus_time``, ``run_pair_list``)
 share one chunk loop over pair indices, of the pair-index triangle or of
@@ -247,15 +254,16 @@ def byte_rows(strings: list[str]) -> np.ndarray:
     return table.view(np.uint8).reshape(len(table), table.itemsize)
 
 
-def join_rows(columns) -> bytes:
+def join_rows(columns, scratch: _blocks.Scratch | None = None) -> bytes:
     """Concatenate each row across NUL-padded uint8 columns, padding dropped.
 
     A ``bytes`` column is a constant repeated on every row.  Returns the
-    rows back to back.
+    rows back to back.  The padded matrix comes from ``scratch`` when given.
     """
     mats = [np.frombuffer(col, np.uint8)[None, :] if isinstance(col, bytes) else col
             for col in columns]
-    out = np.empty((max(len(mat) for mat in mats), sum(mat.shape[1] for mat in mats)), np.uint8)
+    shape = (max(len(mat) for mat in mats), sum(mat.shape[1] for mat in mats))
+    out = np.empty(shape, np.uint8) if scratch is None else scratch("join", shape, np.uint8)
     at = 0
     for mat in mats:
         out[:, at:at + mat.shape[1]] = mat
@@ -305,10 +313,18 @@ def composition_labels(spec: CompositionSpec, index) -> tuple[np.ndarray, np.nda
     The columns are each label's run head and its tail with the ``]``.
     Joined by :func:`join_rows`, row k reads as ``format_composition``
     writes composition ``index[k]``, and ``NA`` where that index is -1.
+    A non-empty ``range`` of indices, as a distribution file asks for,
+    finds its runs from its two ends alone.
     """
     heads, tails, offsets, ends = _label_table(spec.n, spec.m, LABEL_ROWS)
-    index = np.asarray(index, dtype=np.int64)
-    run = np.searchsorted(ends, index, side="right")
+    if isinstance(index, range):
+        first, last = np.searchsorted(ends, [index.start, index.stop - 1], side="right")
+        sizes = np.diff(ends[first:last] - index.start, prepend=0, append=len(index))
+        run = np.repeat(np.arange(first, last + 1), sizes)
+        index = np.arange(index.start, index.stop)
+    else:
+        index = np.asarray(index, dtype=np.int64)
+        run = np.searchsorted(ends, index, side="right")
     none = index < 0
     return (heads.take(np.where(none, -1, run), axis=0),
             tails.take(np.where(none, -1, offsets[run] + index), axis=0))
@@ -427,8 +443,13 @@ class _Ctx:
         self.pairs = pairs
 
     def load(self) -> "_Ctx":
-        self.steps = series_segment_sums(self.X)
-        self.css, self.zmask = series_segment_css(self.X, self.m, self.steps)
+        # each row times an exact power of two, 2^-exp, has max|x| in
+        # [0.5, 1): no square, product or sum of the scan can then overflow
+        # or underflow, and every step, sum and r keeps its bits
+        self.exp = np.frexp(np.abs(self.X).max(axis=1))[1]
+        X = np.ldexp(self.X, -self.exp[:, None])
+        self.steps = series_segment_sums(X)
+        self.css, self.zmask = series_segment_css(X, self.m, self.steps)
         self.scratch = _blocks.Scratch()  # span-sized buffers, reused span to span
         # a row's variance sums recur in every pair it takes part in; with
         # two rows there is one pair and nothing to reuse
@@ -505,11 +526,13 @@ def _extremes(r: np.ndarray, nan_cols: np.ndarray):
     return top, r[top, cols], bottom, r[bottom, cols]
 
 
-def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
+def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, block=None):
     """Scan pairs (i, j) for j in [j0, j1); returns per-pair result arrays.
 
-    For a one-pair span, ``values`` (ncomp,) receives every composition's
-    r_c and ``sums`` (ncomp, 3) its (var_a, var_b, cov) sums, when given.
+    ``block``, when given, is called once per composition block, in
+    canonical order, as block(offset, r, var_a, var_b, cov): (count, J)
+    arrays of the block's r_c and of its sums at the rows' scaled units.
+    They are the kernel's scratch, valid during the call only.
     """
     J = j1 - j0
     css_ab = _cross_css(ctx, i, j0, j1)
@@ -535,10 +558,8 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
             va, vb, cov = ctx.var_sums[lo:hi, i, None], ctx.var_sums[lo:hi, j0:j1], y
         else:
             va, vb, cov = y[:, :1], y[:, 1:J + 1], y[:, J + 1:]
-        # NaN marks Undefined: var_a or var_b is 0, and so is cov.  A
-        # one-pair span that keeps the values computes them in place
-        out = ctx.scratch("r", (blk.count, J)) if values is None else values[lo:hi, None]
-        r = np.multiply(va, vb, out=out)
+        # NaN marks Undefined: var_a or var_b is 0, and so is cov
+        r = np.multiply(va, vb, out=ctx.scratch("r", (blk.count, J)))
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(cov, np.sqrt(r, out=r), out=r)
         if ctx.var_sums is None:
@@ -549,8 +570,8 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, values=None, sums=None):
         if np.any(extremes[1] > 1.0) or np.any(extremes[3] < -1.0):
             _clamp(r)
             extremes = _extremes(r, nan_cols)
-        if sums is not None:
-            sums[lo:hi] = np.column_stack([va[:, 0], vb[:, 0], cov[:, 0]])
+        if block is not None:
+            block(lo, r, va, vb, cov)
 
         arg, val, arg_low, val_low = extremes
         upd = val > best
@@ -724,25 +745,61 @@ def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> Recor
 
 
 def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
-         options: ScanOptions = ScanOptions()) -> ScanResult:
+         options: ScanOptions = ScanOptions(), sink=None) -> ScanResult:
     """Evaluate r_c over every composition of the pair, canonical order.
 
     One span of the batch kernel, so the answers are bit-identical to every
-    other entry point's for the same pair.  Memory stays bounded by the
-    block size unless the full distribution or clouds were requested.
+    other entry point's for the same pair.  The per-composition rows that
+    ``options`` asks for, r_c and, with ``clouds``, var_a, var_b and cov,
+    pass block by block through one sink.  Without a ``sink`` the result
+    keeps them whole, as its ``values`` and ``clouds``.  Given one,
+    nothing is kept and memory stays bounded by the block size: each
+    block's slices of those columns go to sink(offset, r_c) or, with
+    ``clouds``, sink(offset, r_c, var_a, var_b, cov), as vectors valid
+    during the call only.
     """
     if a.n != spec.n or b.n != spec.n:
         raise ValueError(
             f"scan spec expects n={spec.n}, series have {a.n} ({a.id!r}) and {b.n} ({b.id!r})"
         )
     ctx = _Ctx(np.vstack([a.values, b.values]), spec.m).load()
-    values = np.empty(ctx.ncomp) if options.distribution or options.clouds else None
-    sums = np.empty((ctx.ncomp, 3)) if options.clouds else None
-    hcc, pe, lcc, bi, wi, undefined = _scan_span(ctx, 0, 1, 2, values, sums)
+    values = clouds = None
+    if sink is None and (options.distribution or options.clouds):
+        values = np.empty(ctx.ncomp)
+        clouds = np.empty((ctx.ncomp, 4)) if options.clouds else None
+
+        def sink(lo, *columns):
+            rows = slice(lo, lo + len(columns[0]))
+            values[rows] = columns[0]
+            if clouds is not None:
+                for k, col in enumerate(columns):
+                    clouds[rows, k] = col
+
+    block = None if sink is None else _rows_block(ctx, sink, options.clouds)
+    hcc, pe, lcc, bi, wi, undefined = _scan_span(ctx, 0, 1, 2, block)
     return ScanResult.from_kernel(
-        a, b, spec, hcc[0], lcc[0], pe[0], int(bi[0]), int(wi[0]), undefined, values,
-        None if sums is None else np.column_stack([values, sums / spec.n]),
-    )
+        a, b, spec, hcc[0], lcc[0], pe[0], int(bi[0]), int(wi[0]), undefined, values, clouds)
+
+
+def _rows_block(ctx: _Ctx, sink, clouds: bool):
+    """The kernel's block callback of a one-pair scan: passes ``sink`` the
+    block's r_c and, with ``clouds``, its var_a, var_b and cov, the sums
+    back at the series' own scale and divided by n."""
+    ea, eb = ctx.exp.tolist()
+
+    def block(lo, r, va, vb, cov):
+        if not clouds:
+            sink(lo, r[:, 0])
+            return
+        # the sums are the kernel's scratch, free after this call, so they
+        # are scaled back in place: exact, or inf past the float range
+        with np.errstate(over="ignore"):
+            for sums, e in ((va, 2 * ea), (vb, 2 * eb), (cov, ea + eb)):
+                np.ldexp(sums, e, out=sums)
+                sums /= ctx.n
+        sink(lo, r[:, 0], va[:, 0], vb[:, 0], cov[:, 0])
+
+    return block
 
 
 def run_pair(dataset: Dataset, id_a: str, id_b: str, m: int,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compcorr import cli, engine
+from compcorr import _blocks, cli, engine
 from compcorr.cli import _default_workers, _guarded_output, _write_distribution, build_parser, main
 from compcorr.compositions import CompositionSpec, prefix_runs, tail_cap
 from compcorr.corr import ScanOptions
@@ -82,10 +82,24 @@ def line_by_line_distribution(result, precision):
         for parts, value in result.distribution())).encode()
 
 
+def in_blocks(values, sizes):
+    """A scan stand-in for the writers: hands ``values`` to the sink in
+    consecutive blocks of the given sizes, cycled."""
+    def fill(sink):
+        lo, k = 0, 0
+        while lo < len(values):
+            hi = min(lo + sizes[k % len(sizes)], len(values))
+            sink(lo, values[lo:hi].copy())
+            lo, k = hi, k + 1
+        return "done"
+    return fill
+
+
 @pytest.mark.parametrize("label_rows", [1, 16, engine.LABEL_ROWS])
 @pytest.mark.parametrize("n,m", [(18, 2), (20, 3), (23, 4)])
 def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatch, n, m, label_rows):
     monkeypatch.setattr(engine, "LABEL_ROWS", label_rows)
+    monkeypatch.setattr(cli, "BLOCK_LINES", 100)
     runs = list(prefix_runs(n, m, tail_cap(n, m, label_rows)))
     if label_rows < engine.LABEL_ROWS:
         # the small tables cut the file into many runs, some a whole composition
@@ -96,15 +110,18 @@ def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatc
         (TimeSeries("a", rng.normal(size=n)), TimeSeries("b", rng.normal(size=n))),
         (TimeSeries("step", step), TimeSeries("b", rng.normal(size=n))),
     ]
+    spec = CompositionSpec(n, m)
     for a, b in pairs:
-        result = scan(a, b, CompositionSpec(n, m), ScanOptions(distribution=True))
+        result = scan(a, b, spec, ScanOptions(distribution=True))
         result.values[1] = -1e-9       # renders as -0.000000 (and -0 at precision 0)
         result.values[-2] = -0.0
         if a.id == "step":
             assert np.isnan(result.values).any()
         for precision in (0, 3, 6):
             path = tmp_path / f"{a.id}.{precision}.txt"
-            _write_distribution(path, result, precision)
+            # blocks that straddle the 100-line groups, and one line on its own
+            got = _write_distribution(path, spec, precision, in_blocks(result.values, [37, 1, 250]))
+            assert got == "done"
             assert path.read_bytes() == line_by_line_distribution(result, precision)
     assert "\t-0.000000\n" in path.read_text()
     assert "\tNA\n" in path.read_text()
@@ -115,11 +132,12 @@ def test_distribution_writer_memory_is_bounded(tmp_path):
     # label tables and one block of lines, never an array per composition
     rng = np.random.default_rng(31)
     a, b = (TimeSeries(k, rng.normal(size=31)) for k in "ab")
-    result = scan(a, b, CompositionSpec(31, 2), ScanOptions(distribution=True))
+    spec = CompositionSpec(31, 2)
+    result = scan(a, b, spec, ScanOptions(distribution=True))
     engine._label_table.cache_clear()
     tracemalloc.start()
     try:
-        _write_distribution(tmp_path / "d.txt", result, 6)
+        _write_distribution(tmp_path / "d.txt", spec, 6, in_blocks(result.values, [46368]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -128,10 +146,144 @@ def test_distribution_writer_memory_is_bounded(tmp_path):
 
 
 def test_distribution_writer_needs_values(tmp_path):
+    # a scan that hands over too few compositions fails the file, which
+    # is moved aside
     a = TimeSeries("a", np.arange(6.0) ** 2)
-    result = scan(a, a, CompositionSpec(6, 2))
-    with pytest.raises(ValueError):
-        _write_distribution(tmp_path / "d.txt", result, 6)
+    spec = CompositionSpec(6, 2)
+    values = scan(a, a, spec, ScanOptions(distribution=True)).values
+    path = tmp_path / "d.txt"
+    with pytest.raises(ValueError, match="delivered 0 of 5 compositions"):
+        _write_distribution(path, spec, 6, lambda sink: scan(a, a, spec))
+    with pytest.raises(ValueError, match="delivered 4 of 5"):
+        _write_distribution(path, spec, 6, in_blocks(values[:4], [2]))
+    assert not path.exists() and (tmp_path / "d.txt.partial").exists()
+
+
+@pytest.fixture()
+def pair31(tmp_path):
+    rng = np.random.default_rng(31)
+    ds = Dataset(series=tuple(TimeSeries(k, rng.normal(size=31)) for k in "ab"), name="w31")
+    path = tmp_path / "w31.tsv"
+    write_dataset(ds, path)
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["pair", "a", "b", "--min-part", "2"],
+    ["clouds", "a", "b", "--min-part", "2", "--output", "clouds.txt"],
+    ["all-pairs", "--min-part", "2", "--threads", "1", "--emit-distribution"],
+])
+def test_one_pair_scans_stream_their_files(in_tmp, pair31, command):
+    # 832,040 compositions at (31, 2): one float per composition is 6.7 MB,
+    # more than a whole run may hold over its tries, blocks built first
+    _blocks.blocks_for(31, 2)
+    tracemalloc.start()
+    try:
+        code, _, err = run(command + ["--input", str(pair31)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < 832_040 * 8
+    written = Path("clouds.txt") if command[0] == "clouds" else Path("Output.w31.a.b.n31.m2.txt")
+    assert len(written.read_bytes().splitlines()) == 1 + 832_040
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Kernel blocks of at most 300 compositions, groups of 257 lines: every
+    file below is cut both ways, at places that straddle each other."""
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 300)
+    monkeypatch.setattr(cli, "BLOCK_LINES", 257)
+    _blocks.blocks_for.cache_clear()
+    yield
+    _blocks.blocks_for.cache_clear()
+
+
+@pytest.fixture()
+def step_pair(tmp_path):
+    rng = np.random.default_rng(18)
+    step = np.repeat(rng.normal(size=3), [2, 14, 2])  # Undefined where parts fit the steps
+    ds = Dataset(series=(TimeSeries("step", step), TimeSeries("b", rng.normal(size=18))), name="sp")
+    path = tmp_path / "sp.tsv"
+    write_dataset(ds, path)
+    return ds, path
+
+
+def test_streamed_files_match_line_by_line_rendering(in_tmp, small_blocks, step_pair):
+    ds, path = step_pair
+    a, b = ds.get("step"), ds.get("b")
+    spec = CompositionSpec(18, 2)
+    assert len(_blocks.blocks_for(18, 2)) > 8
+    kept = scan(a, b, spec, ScanOptions(clouds=True))
+    assert np.isnan(kept.values).any()
+    # lines that read -0.000000, on both sides of a group and a block boundary
+    inject = {1: -1e-9, 256: -0.0, 257: -1e-12, 299: -0.0, 300: -1e-9, kept.n_compositions - 2: -0.0}
+
+    def injected(sink):
+        def block(lo, values):
+            values = values.copy()
+            for k, v in inject.items():
+                if lo <= k < lo + len(values):
+                    values[k - lo] = v
+            sink(lo, values)
+        return block
+
+    for precision in (0, 3, 6, 15):
+        code, _, err = run(["pair", "step", "b", "--input", str(path), "--min-part", "2",
+                            "--precision", str(precision)])
+        assert code == 0, err
+        assert Path("Output.sp.step.b.n18.m2.txt").read_bytes() == line_by_line_distribution(kept, precision)
+        code, _, err = run(["clouds", "step", "b", "--input", str(path), "--min-part", "2",
+                            "--precision", str(precision), "--output", "clouds.txt"])
+        assert code == 0, err
+        assert Path("clouds.txt").read_bytes() == per_row_clouds(kept.clouds, precision)
+
+        want = scan(a, b, spec, ScanOptions(distribution=True))
+        want.values[list(inject)] = list(inject.values())
+        got = _write_distribution(Path("injected.txt"), spec, precision,
+                                  lambda sink: scan(a, b, spec, sink=injected(sink)))
+        assert (got.hcc, got.bcc, got.n_undefined) == (kept.hcc, kept.bcc, kept.n_undefined)
+        text = Path("injected.txt").read_bytes()
+        assert text == line_by_line_distribution(want, precision)
+        assert b"\t-0" + b"." * (precision > 0) + b"0" * precision + b"\n" in text
+
+
+def test_failed_scan_leaves_a_partial_distribution(in_tmp, small_blocks, step_pair, monkeypatch):
+    ds, path = step_pair
+    want = line_by_line_distribution(scan(ds.get("step"), ds.get("b"), CompositionSpec(18, 2),
+                                          ScanOptions(distribution=True)), 6)
+    rows_block = engine._rows_block
+
+    def failing(ctx, sink, clouds):
+        block = rows_block(ctx, sink, clouds)
+
+        def checked(lo, *arrays):
+            if lo >= 1000:
+                raise ConsistencyError("injected kernel failure")
+            block(lo, *arrays)
+        return checked
+
+    monkeypatch.setattr(engine, "_rows_block", failing)
+    code, _, err = run(["pair", "step", "b", "--input", str(path), "--min-part", "2"])
+    assert code == 1
+    assert "injected kernel failure" in err
+    assert not Path("Output.sp.step.b.n18.m2.txt").exists()
+    partial = Path("Output.sp.step.b.n18.m2.txt.partial").read_bytes()
+    # the whole groups of 257 lines before the failing block
+    delivered = min(blk.offset for blk in _blocks.blocks_for(18, 2) if blk.offset >= 1000)
+    assert delivered // 257 >= 3
+    assert partial == b"".join(want.splitlines(keepends=True)[:1 + delivered // 257 * 257])
+
+
+def test_unknown_series_leaves_no_file(in_tmp, step_pair):
+    _, path = step_pair
+    for command in (["pair", "step", "zzz", "--output", "out"],
+                    ["clouds", "zzz", "b", "--output", "clouds.txt"]):
+        code, _, err = run(command + ["--input", str(path), "--min-part", "2"])
+        assert code == 1
+        assert "no series named 'zzz'" in err
+    assert os.listdir(".") == ["sp.tsv"]
 
 
 # ------------------------------------------------------------------ synth
@@ -257,7 +409,7 @@ def test_clouds_bulk_rendering_matches_per_row(in_tmp, tmp_path, monkeypatch):
     b = 1e6 + 1e-4 * rng.normal(size=14)
     p = tmp_path / "steps.tsv"
     write_dataset(Dataset(series=(TimeSeries("step", step), TimeSeries("b", b)), name="steps"), p)
-    result = cli.run_pair(cli.load_dataset(p), "step", "b", 2, ScanOptions(clouds=True))
+    result = engine.run_pair(cli.load_dataset(p), "step", "b", 2, ScanOptions(clouds=True))
     assert np.isnan(result.clouds[:, 0]).any()
     for precision in (0, 6, 15):
         out = f"clouds{precision}.tsv"

@@ -405,6 +405,13 @@ def test_composition_labels_match_format_composition(monkeypatch, n, m, label_ro
     # any order, with repeats, as a record table asks for them
     index = np.random.default_rng(n).integers(-1, ncomp, 3 * ncomp)
     assert labels(index) == [want[k + 1] for k in index.tolist()]
+    # consecutive ranges, as a distribution file asks for them: inside one
+    # run, across run ends, one composition, and all
+    cuts = np.random.default_rng(m).integers(0, ncomp, 40).tolist() + [0, ncomp - 1, ncomp]
+    for lo, hi in zip(cuts, cuts[1:]):
+        lo, hi = min(lo, hi), max(lo, hi) + 1
+        assert labels(range(lo, min(hi, ncomp))) == want[lo + 1:min(hi, ncomp) + 1]
+    assert labels(range(0, ncomp)) == want[1:]
     with pytest.raises(IndexError):
         composition_labels(spec, [ncomp])
 
@@ -660,15 +667,18 @@ def test_segment_sums_match_a_plain_float_reference_bit_for_bit(n, m):
             want[a, b] = np.array([0.0 if fa or fb else reference_window(steps[a], steps[b], *seg)
                                    for seg, fa, fb in zip(segments, flat[a], flat[b])])
 
+    # the kernel's tables are at each row's scale 2^-exp, which ldexp undoes exactly
     ctx = engine._Ctx(X, m).load()
+    e = ctx.exp.tolist()
     for a in range(S):
-        assert ctx.css[:, a].tobytes() == want[a, a].tobytes()  # the sign of zero included
+        got = np.ldexp(ctx.css[:, a], 2 * e[a])
+        assert got.tobytes() == want[a, a].tobytes()  # the sign of zero included
     # spans of width 1, 7 and all rows, each against every row i (i in the span too)
     for j0, j1 in [(j, j + 1) for j in range(S)] + [(1, 8), (0, S)]:
         for i in range(S):
             got = engine._cross_css(ctx, i, j0, j1)
             for j in range(j0, j1):
-                assert got[:, j - j0].tobytes() == want[i, j].tobytes(), (i, j)
+                assert np.ldexp(got[:, j - j0], e[i] + e[j]).tobytes() == want[i, j].tobytes(), (i, j)
 
 
 def test_all_pairs_at_n34_m2():
@@ -684,3 +694,55 @@ def test_all_pairs_at_n34_m2():
         assert as_tuple(r) == as_tuple(scan(x, y, spec))
         for value, parts in ((r.hcc, r.bcc), (r.lcc, r.wcc), (r.pearson, (n,))):
             assert value == pytest.approx(comp_correlation(x, y, parts), abs=1e-9)
+
+
+# ------------------------------------------------------ extreme magnitudes
+
+def scan_fields(res):
+    return (res.hcc, res.lcc, res.pearson, res.bcc, res.wcc, res.n_undefined)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e160, 2.0 ** 500, 2.0 ** -500])
+def test_scan_is_blind_to_extreme_magnitudes(scale):
+    # correlation is scale-invariant: the series at an extreme magnitude scan
+    # bit for bit as the same values brought back to unit size by an exact
+    # power of two, and, for a power-of-two scale, as the unscaled series
+    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=13), rng.normal(size=13)
+    spec = CompositionSpec(13, 2)
+    options = ScanOptions(clouds=True)
+    big = scan(TimeSeries("a", a * scale), TimeSeries("b", b * scale), spec, options)
+    e = math.frexp(scale)[1]
+    unit = scan(TimeSeries("a", np.ldexp(a * scale, -e)), TimeSeries("b", np.ldexp(b * scale, -e)),
+                spec, options)
+    plain = scan(TimeSeries("a", a), TimeSeries("b", b), spec, options)
+    assert big.n_undefined == 0
+    assert scan_fields(big) == scan_fields(unit)
+    assert big.values.tobytes() == unit.values.tobytes()
+    if scale in (2.0 ** 500, 2.0 ** -500):
+        assert scan_fields(big) == scan_fields(plain)
+        assert big.values.tobytes() == plain.values.tobytes()
+    for got, want in zip(scan_fields(big)[:3], scan_fields(plain)[:3]):
+        assert got == pytest.approx(want, abs=1e-14)
+    # var and cov are at the series' own scale, exactly where representable
+    if abs(math.log2(scale)) <= 500:
+        assert np.ldexp(unit.clouds[:, 1:], 2 * e).tobytes() == big.clouds[:, 1:].tobytes()
+
+
+def test_all_pairs_is_blind_to_mixed_magnitudes():
+    rng = np.random.default_rng(14)
+    n, m = 13, 2
+    scales = [1.0, 1e150, 1e-150, 1e160, 2.0 ** 500, 2.0 ** -500, 1e-160]
+    rows = [rng.normal(size=n) * s for s in scales] + [np.repeat([1e200, -3e200], [6, 7])]
+    ds = Dataset(series=tuple(TimeSeries(f"s{k}", x) for k, x in enumerate(rows)))
+    unit = Dataset(series=tuple(TimeSeries(s.id, np.ldexp(s.values, -math.frexp(np.abs(s.values).max())[1]))
+                                for s in ds.series))
+    records, _ = collect(ds, JobConfig(m=m, workers=2))
+    unit_records, _ = collect(unit, JobConfig(m=m))
+    assert len(records) == 28
+    assert [as_tuple(r) for r in records] == [as_tuple(r) for r in unit_records]
+    spec = CompositionSpec(n, m)
+    for r in records:
+        assert as_tuple(r) == as_tuple(scan(ds.get(r.id_a), ds.get(r.id_b), spec))
+        if "s7" not in (r.id_a, r.id_b):  # the step row has Undefined compositions
+            assert r.hcc is not None and r.lcc is not None and r.pearson is not None
