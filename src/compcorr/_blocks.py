@@ -13,13 +13,19 @@ The compositions of a remainder r, placed at start n - r, form a trie:
 the nodes at depth d are the distinct leading d parts, a leaf is a whole
 composition.  One trie per (n, m, r) is built level by level and shared
 by every block with that remainder.  A product adds the prefix's
-segments left to right, starting from +0.0, then walks the trie adding
-one segment per level, collects each level's leaves and finally puts
-them in canonical order.  Every composition's value is therefore the
-left-to-right sum of its parts' segments from +0.0: the same additions,
-in the same order, as a sparse row-by-vector product.  A level never holds more nodes
-than the block has compositions, so no intermediate exceeds the block's
-(count x columns) output.
+segments left to right, starting from +0.0, into the root, then walks
+the trie one level at a time, each level two gathers and one add into
+its rows of one node buffer, and finally gathers the leaves in canonical
+order.  Every composition's value is therefore the left-to-right sum of
+its parts' segments from +0.0: the same additions, in the same order, as
+a sparse row-by-vector product.  No level holds more nodes than the
+block has compositions, and the node buffer about twice as many.
+
+The kernel (``engine._scan_span``) evaluates r over :func:`batches`,
+runs of consecutive blocks that fill one buffer of at most BLOCK_ROWS
+rows, so its per-composition work is paid once per batch, however small
+the blocks.  Neither the blocks nor the batches change a bit of any
+value: each is a left-to-right sum whatever block it falls in.
 """
 from __future__ import annotations
 
@@ -33,36 +39,42 @@ import numpy as np
 from .compositions import composition_counts, prefix_runs, tail_cap
 from .segments import segment_ids
 
-# Upper bound on compositions per block.  Fixed: block geometry determines
-# the evaluation batching, and keeping it constant keeps every scan of a
-# given (n, m) byte-for-byte reproducible across processes and runs.
-BLOCK_ROWS = 65536
+# Most compositions per block and per kernel batch.  It bounds the shared
+# tail tries, the node buffer of a product and the kernel's per-batch
+# scratch: at n=31, m=2, tries of 1.1 MB and a batch of 16,384 rows.
+BLOCK_ROWS = 16384
 
 
 class _Level(NamedTuple):
     parent: np.ndarray  # each node's parent, an index among the previous level's inner nodes
     seg: np.ndarray     # flat segment id of each node's last part
-    inner: int          # nodes [0, inner) have children, the rest are leaves
+    source: slice       # the node rows of the previous level's inner nodes
+    nodes: slice        # this level's node rows, inner nodes first
 
 
 class _Trie(NamedTuple):
     count: int          # leaves: the compositions of the remainder
     parts: int          # (leaf, part) incidences
     levels: tuple[_Level, ...]
-    order: np.ndarray   # order[k]: the k-th composition's leaf, counting leaves level by level
+    order: np.ndarray   # order[k]: the node row of the k-th composition's leaf
+    rows: int           # node rows: the root (row 0), then every level's nodes
+    widest: int         # nodes of the largest level
 
 
 def _trie(n: int, m: int, r: int) -> _Trie:
     """The compositions of r, with parts >= m, as a trie placed at start n - r."""
     if r == 0:
-        return _Trie(1, 0, (), np.zeros(1, dtype=np.intp))
+        return _Trie(1, 0, (), np.zeros(1, dtype=np.intp), 1, 0)
     counts = np.asarray(composition_counts(r, m), dtype=np.int64)
     cumulative = np.cumsum(counts)
     pos = np.zeros(1, dtype=np.intp)   # part sum of each inner node
     base = np.zeros(1, dtype=np.int64)  # rank of the first composition below each inner node
     levels = []
     ranks = []
+    leaves = []
+    source = slice(0, 1)  # the root
     parts = 0
+    used = 1
     while pos.size:
         # children of a node with q left: first parts m..q-m, then q itself
         q = r - pos
@@ -78,11 +90,17 @@ def _trie(n: int, m: int, r: int) -> _Trie:
         order = np.argsort(pos == r, kind="stable")  # inner nodes first
         inner = int(np.count_nonzero(pos < r))
         pos, rank = pos[order], rank[order]
-        levels.append(_Level(parent[order], seg[order], inner))
+        nodes = slice(used, used + pos.size)
+        used = nodes.stop
+        levels.append(_Level(parent[order], seg[order], source, nodes))
         ranks.append(rank[inner:])
+        leaves.append(np.arange(nodes.start + inner, nodes.stop))
         parts += len(levels) * (pos.size - inner)
+        source = slice(nodes.start, nodes.start + inner)
         pos, base = pos[:inner], rank[:inner]
-    return _Trie(int(counts[r]), parts, tuple(levels), np.argsort(np.concatenate(ranks)))
+    order = np.concatenate(leaves)[np.argsort(np.concatenate(ranks))]
+    return _Trie(int(counts[r]), parts, tuple(levels), order, used,
+                 max(level.nodes.stop - level.nodes.start for level in levels))
 
 
 class Incidence:
@@ -109,29 +127,24 @@ class Incidence:
             scratch: Scratch | None = None) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
         cols = x.shape[1:]
+        tail = self.tail
         if out is None:
-            out = np.empty((self.tail.count,) + cols)
+            out = np.empty((tail.count,) + cols)
         buffer = Scratch() if scratch is None else scratch
-        acc = np.zeros((1,) + cols)
+        # one row per trie node: the root (row 0) sums the prefix, then each
+        # level's nodes; "clip" never clips a valid index, and spares take
+        # the copy it makes of out under the default mode="raise"
+        sums = buffer("dot.nodes", (tail.rows,) + cols)
+        rows = buffer("dot.rows", (tail.widest,) + cols)
+        root = sums[:1]
+        root.fill(0.0)
         for s in self.prefix.tolist():
-            acc = acc + x[s]
-        if not self.tail.levels:
-            out[...] = acc
-            return out
-        # leaves are collected level by level, then put in canonical order;
-        # "clip" never clips a valid index, and spares take the copy it
-        # makes of out under the default mode="raise"
-        leaves = buffer("dot.leaves", (self.tail.count,) + cols)
-        done = 0
-        for depth, level in enumerate(self.tail.levels):
-            shape = (len(level.parent),) + cols
-            nodes = np.take(acc, level.parent, axis=0, mode="clip",
-                            out=buffer(("dot.acc", "dot.acc2")[depth % 2], shape))
-            nodes += np.take(x, level.seg, axis=0, mode="clip", out=buffer("dot.rows", shape))
-            leaves[done:done + len(nodes) - level.inner] = nodes[level.inner:]
-            done += len(nodes) - level.inner
-            acc = nodes[:level.inner]
-        return np.take(leaves, self.tail.order, axis=0, out=out, mode="clip")
+            root += x[s]
+        for level in tail.levels:
+            nodes = sums[level.nodes]
+            sums[level.source].take(level.parent, axis=0, out=nodes, mode="clip")
+            nodes += x.take(level.seg, axis=0, out=rows[:len(nodes)], mode="clip")
+        return sums.take(tail.order, axis=0, out=out, mode="clip")
 
 
 class Scratch(dict):
@@ -177,3 +190,19 @@ def blocks_for(n: int, m: int) -> tuple[CompositionBlock, ...]:
         offset += tail.count
     assert offset == composition_counts(n, m)[n]
     return tuple(blocks)
+
+
+def batches(blocks: tuple[CompositionBlock, ...]) -> tuple[tuple[int, int, tuple[CompositionBlock, ...]], ...]:
+    """Consecutive blocks gathered into runs of at most BLOCK_ROWS compositions.
+
+    Returns (offset, end, blocks) per run, in canonical order: the run's
+    compositions are [offset, end), its blocks' back to back.
+    """
+    runs, run = [], []
+    for blk in blocks:
+        if run and blk.offset + blk.count - run[0].offset > BLOCK_ROWS:
+            runs.append((run[0].offset, blk.offset, tuple(run)))
+            run = []
+        run.append(blk)
+    runs.append((run[0].offset, run[-1].offset + run[-1].count, tuple(run)))
+    return tuple(runs)

@@ -8,7 +8,7 @@ clouds and record tables are rendered in bulk, numbers by
 ``engine.composition_labels``, and read byte for byte as ``format_number``
 and ``format_composition`` write them.  ``pair``, ``clouds`` and
 ``all-pairs --emit-distribution`` stream their one-pair files: the scan
-hands each composition block to the file's writer, which writes
+hands each batch of compositions to the file's writer, which writes
 BLOCK_LINES lines at a time, so no array holds a value per composition.
 Exit status is 0 only when the requested computation completed; aborted
 runs leave their partial output renamed with a .partial suffix.
@@ -47,8 +47,11 @@ from .engine import (
 from .segments import ConsistencyError, TimeSeries
 
 PROGRESS_EVERY = 10_000
-# Lines rendered per write of a distribution or clouds file.
-BLOCK_LINES = 8192
+# Lines rendered per write of a distribution or clouds file.  A group's
+# temporaries, about 140 bytes a line, are freed after its write: at 4,096
+# lines the C heap reuses them group to group, where 8,192-line groups
+# were handed back to the system and faulted in again each time.
+BLOCK_LINES = 4096
 
 
 def _default_workers() -> int:
@@ -150,12 +153,12 @@ def _distribution_path(outdir: Path, dataset: str, id_a: str, id_b: str, spec: C
 class _Lines:
     """A one-pair scan's sink that writes its file BLOCK_LINES lines at a time.
 
-    The scan's blocks, one column or several, arrive in canonical order
+    The scan's batches, one column or several, arrive in canonical order
     and gather in one group buffer of BLOCK_LINES rows.  Each full group,
     and the last, goes out in one write: ``render(first, *columns)``
     gives the group's byte columns, ``first`` being its first canonical
-    composition index, and :func:`join_rows` joins them in a buffer
-    reused group to group.  So memory is one block and one group,
+    composition index, and :func:`join_rows` joins them in buffers
+    reused group to group.  So memory is one batch and one group,
     whatever n.
     """
 
@@ -189,7 +192,7 @@ def _write_lines(path: Path, header: bytes, spec: CompositionSpec, scan, render,
     """Write a one-pair scan's file: the header, then one line per composition.
 
     ``scan(sink)`` runs the scan with a :class:`_Lines` of ``render`` as
-    its per-block sink; its result is returned.  A scan that fails, or
+    its per-batch sink; its result is returned.  A scan that fails, or
     hands over other than every composition, leaves a .partial file.
     """
     with _guarded_output(path, "wb") as out:

@@ -130,8 +130,8 @@ class ScanOptions:
     distribution: keep the full per-composition value vector (canonical
     order, NaN where Undefined).  clouds: keep per-composition
     (var_a, var_b, cov) alongside, for variance/covariance point clouds.
-    Given a sink, ``engine.scan`` streams the same rows to it block by
-    block instead of keeping them.
+    Given a sink, ``engine.scan`` streams the same rows to it batch by
+    batch instead of keeping them.
     """
 
     distribution: bool = False

@@ -7,18 +7,20 @@ many pairs) per-composition variance sums, with each row's count of
 zero-variance compositions, once.  ``_scan_span`` then scans row i
 against a span of rows: cross sums from the step table, one product per
 composition incidence block (``_blocks``, built once per (n, m) and
-shared by every span), NaN for Undefined, the one clamp, and vectorized
-extreme tracking.  Its span-sized arrays live in buffers the process
-reuses from span to span.  Each row enters the kernel times an exact
-power of two that puts its largest magnitude in [0.5, 1), so no square
-or product overflows or underflows whatever the data's scale, and r_c
-keeps every bit.  ``scan`` is a one-pair span, so ``pair``, ``clouds``,
+shared by every span), each written into its rows of a batch of at most
+``_blocks.BLOCK_ROWS`` compositions; then, once per batch, r, NaN for
+Undefined, the one clamp, and vectorized extreme tracking.  Its
+span-sized arrays live in buffers the process reuses from span to span.
+Each row enters the kernel times an exact power of two that puts its
+largest magnitude in [0.5, 1), so no square or product overflows or
+underflows whatever the data's scale, and r_c keeps every bit.
+``scan`` is a one-pair span, so ``pair``, ``clouds``,
 ``all-pairs`` and ``time-corr`` give bit-identical answers for the same
 pair.  A one-pair scan hands its per-composition rows (r_c, and the
-variance and covariance sums of a point cloud) to a sink block by
-block: ``ScanOptions`` keeps them as whole vectors for library callers,
+variance and covariance sums of a point cloud) to a sink batch by
+batch: ``ScanOptions`` keeps them as whole vectors for library callers,
 and the CLI's writers stream them to their files, so memory there is a
-block, not a value per composition.
+batch, not a value per composition.
 
 The batch runs (``run_all_pairs``, ``run_versus_time``, ``run_pair_list``)
 share one chunk loop over pair indices, of the pair-index triangle or of
@@ -283,6 +285,35 @@ class _Parts(dict):
         return got
 
 
+def _run_shape(n: int, m: int, cap: int) -> tuple[int, int]:
+    """The number of ``prefix_runs(n, m, cap)``, and the length of the
+    longest run head: ``[``, then the prefix's parts, each followed by a
+    comma unless it ends the composition."""
+
+    @lru_cache(maxsize=None)
+    def below(q: int) -> tuple[int, int]:  # runs, and longest text, under a prefix with q left
+        if q <= cap:
+            return 1, 0
+        runs = longest = 0
+        for p in (*range(m, q - m + 1), q):
+            k, text = below(q - p)
+            runs += k
+            longest = max(longest, len(str(p)) + (p < q) + text)
+        return runs, longest
+
+    runs, longest = below(n)
+    return runs, 1 + longest
+
+
+def _text_rows(labels, count: int, width: int) -> np.ndarray:
+    """``count`` byte strings of at most ``width`` bytes, as the rows of a
+    NUL-padded uint8 matrix; rows past the last label stay empty."""
+    buf = bytearray(count * width)
+    for at, label in zip(range(0, count * width, width), labels):
+        buf[at:at + len(label)] = label
+    return np.frombuffer(buf, np.uint8).reshape(count, width)
+
+
 @lru_cache(maxsize=4)
 def _label_table(n: int, m: int, label_rows: int):
     """The canonical order of compositions of n, cut into prefix runs.
@@ -291,20 +322,37 @@ def _label_table(n: int, m: int, label_rows: int):
     parts) and every tail label, with its ``]``, of remainders 0 and
     m..cap; then, per run, the tail row of its first composition less its
     first index, and the index one past its end.  The last head and tail
-    rows, empty and ``NA``, label index -1.
+    rows, empty and ``NA``, label index -1.  Each label is written
+    straight into its matrix, so the build holds little beyond the table.
     """
     cap = tail_cap(n, m, label_rows)
-    tails = [",".join(map(str, parts)) + "]"
-             for r in (0, *range(m, cap + 1)) for parts, _ in prefix_runs(r, m, 0)]
-    heads, remainders = [], []
-    for prefix, remainder in prefix_runs(n, m, cap):
-        heads.append("[" + ",".join(map(str, prefix)) + ("," if prefix and remainder else ""))
-        remainders.append(remainder)
     sizes = np.array(composition_counts(cap, m))  # zero for remainders 1..m-1
+    text = [str(p).encode() for p in range(n + 1)]
+    runs, width = _run_shape(n, m, cap)
+    remainders = np.empty(runs, np.intp)
+
+    def heads():
+        for k, (prefix, remainder) in enumerate(prefix_runs(n, m, cap)):
+            remainders[k] = remainder
+            yield b"[" + b",".join([text[p] for p in prefix]) + b"," * bool(prefix and remainder)
+
+    def tails():
+        for r in (0, *range(m, cap + 1)):
+            for parts, _ in prefix_runs(r, m, 0):
+                yield b",".join([text[p] for p in parts]) + b"]"
+        yield b"NA"
+
+    # a tail "...]" is as long as the head "[..." of its whole composition
+    tail_width = max(2, *(_run_shape(r, m, 0)[1] for r in range(m, cap + 1)))
+    head_rows = _text_rows(heads(), runs + 1, width)
+    tail_rows = _text_rows(tails(), int(sizes.sum()) + 1, tail_width)
     first = np.cumsum(sizes) - sizes
-    ends = np.cumsum(sizes[remainders])
-    return (byte_rows(heads + [""]), byte_rows(tails + ["NA"]),
-            first[remainders] - (ends - sizes[remainders]), ends)
+    run_sizes = sizes[remainders]
+    ends = np.cumsum(run_sizes)
+    offsets = first[remainders]
+    offsets -= ends
+    offsets += run_sizes
+    return head_rows, tail_rows, offsets, ends
 
 
 def composition_labels(spec: CompositionSpec, index) -> tuple[np.ndarray, np.ndarray]:
@@ -321,10 +369,11 @@ def composition_labels(spec: CompositionSpec, index) -> tuple[np.ndarray, np.nda
         first, last = np.searchsorted(ends, [index.start, index.stop - 1], side="right")
         sizes = np.diff(ends[first:last] - index.start, prepend=0, append=len(index))
         run = np.repeat(np.arange(first, last + 1), sizes)
-        index = np.arange(index.start, index.stop)
-    else:
-        index = np.asarray(index, dtype=np.int64)
-        run = np.searchsorted(ends, index, side="right")
+        tail = offsets[run]
+        tail += np.arange(index.start, index.stop)
+        return heads.take(run, axis=0), tails.take(tail, axis=0)
+    index = np.asarray(index, dtype=np.int64)
+    run = np.searchsorted(ends, index, side="right")
     none = index < 0
     return (heads.take(np.where(none, -1, run), axis=0),
             tails.take(np.where(none, -1, offsets[run] + index), axis=0))
@@ -434,6 +483,7 @@ class _Ctx:
         self.X = X
         self.ncomp = count_compositions(self.spec)
         self.blocks = _blocks.blocks_for(n, m)
+        self.batches = _blocks.batches(self.blocks)
         self.j_step = max(1, _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS))
         self.var_sums = None
         self.ids = tuple(ids)
@@ -529,9 +579,9 @@ def _extremes(r: np.ndarray, nan_cols: np.ndarray):
 def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, block=None):
     """Scan pairs (i, j) for j in [j0, j1); returns per-pair result arrays.
 
-    ``block``, when given, is called once per composition block, in
+    ``block``, when given, is called once per batch of compositions, in
     canonical order, as block(offset, r, var_a, var_b, cov): (count, J)
-    arrays of the block's r_c and of its sums at the rows' scaled units.
+    arrays of the batch's r_c and of its sums at the rows' scaled units.
     They are the kernel's scratch, valid during the call only.
     """
     J = j1 - j0
@@ -551,15 +601,17 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, block=None):
         # only pairs with a row that has zero-variance compositions hold NaN
         nan_cols = np.flatnonzero(ctx.flat[j0:j1] + ctx.flat[i])
 
-    for blk in ctx.blocks:
-        lo, hi = blk.offset, blk.offset + blk.count
-        y = blk.matrix.dot(x, ctx.scratch("y", (blk.count, x.shape[1])), ctx.scratch)
+    for lo, hi, batch in ctx.batches:
+        # each block's product lands in its rows of the batch
+        y = ctx.scratch("y", (hi - lo, x.shape[1]))
+        for blk in batch:
+            blk.matrix.dot(x, y[blk.offset - lo:blk.offset - lo + blk.count], ctx.scratch)
         if ctx.var_sums is not None:
             va, vb, cov = ctx.var_sums[lo:hi, i, None], ctx.var_sums[lo:hi, j0:j1], y
         else:
             va, vb, cov = y[:, :1], y[:, 1:J + 1], y[:, J + 1:]
         # NaN marks Undefined: var_a or var_b is 0, and so is cov
-        r = np.multiply(va, vb, out=ctx.scratch("r", (blk.count, J)))
+        r = np.multiply(va, vb, out=ctx.scratch("r", (hi - lo, J)))
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(cov, np.sqrt(r, out=r), out=r)
         if ctx.var_sums is None:
@@ -573,6 +625,7 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, block=None):
         if block is not None:
             block(lo, r, va, vb, cov)
 
+        # the first of equal maxima wins, within a batch (argmax) and across
         arg, val, arg_low, val_low = extremes
         upd = val > best
         best[upd] = val[upd]
@@ -751,10 +804,10 @@ def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
     One span of the batch kernel, so the answers are bit-identical to every
     other entry point's for the same pair.  The per-composition rows that
     ``options`` asks for, r_c and, with ``clouds``, var_a, var_b and cov,
-    pass block by block through one sink.  Without a ``sink`` the result
+    pass batch by batch through one sink.  Without a ``sink`` the result
     keeps them whole, as its ``values`` and ``clouds``.  Given one,
-    nothing is kept and memory stays bounded by the block size: each
-    block's slices of those columns go to sink(offset, r_c) or, with
+    nothing is kept and memory stays bounded by ``_blocks.BLOCK_ROWS``:
+    each batch's slices of those columns go to sink(offset, r_c) or, with
     ``clouds``, sink(offset, r_c, var_a, var_b, cov), as vectors valid
     during the call only.
     """
@@ -782,8 +835,8 @@ def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
 
 
 def _rows_block(ctx: _Ctx, sink, clouds: bool):
-    """The kernel's block callback of a one-pair scan: passes ``sink`` the
-    block's r_c and, with ``clouds``, its var_a, var_b and cov, the sums
+    """The kernel's batch callback of a one-pair scan: passes ``sink`` the
+    batch's r_c and, with ``clouds``, its var_a, var_b and cov, the sums
     back at the series' own scale and divided by n."""
     ea, eb = ctx.exp.tolist()
 

@@ -200,16 +200,6 @@ def small_blocks(monkeypatch):
     _blocks.blocks_for.cache_clear()
 
 
-@pytest.fixture()
-def step_pair(tmp_path):
-    rng = np.random.default_rng(18)
-    step = np.repeat(rng.normal(size=3), [2, 14, 2])  # Undefined where parts fit the steps
-    ds = Dataset(series=(TimeSeries("step", step), TimeSeries("b", rng.normal(size=18))), name="sp")
-    path = tmp_path / "sp.tsv"
-    write_dataset(ds, path)
-    return ds, path
-
-
 def test_streamed_files_match_line_by_line_rendering(in_tmp, small_blocks, step_pair):
     ds, path = step_pair
     a, b = ds.get("step"), ds.get("b")
@@ -270,8 +260,8 @@ def test_failed_scan_leaves_a_partial_distribution(in_tmp, small_blocks, step_pa
     assert "injected kernel failure" in err
     assert not Path("Output.sp.step.b.n18.m2.txt").exists()
     partial = Path("Output.sp.step.b.n18.m2.txt.partial").read_bytes()
-    # the whole groups of 257 lines before the failing block
-    delivered = min(blk.offset for blk in _blocks.blocks_for(18, 2) if blk.offset >= 1000)
+    # the whole groups of 257 lines before the failing batch
+    delivered = min(lo for lo, _, _ in _blocks.batches(_blocks.blocks_for(18, 2)) if lo >= 1000)
     assert delivered // 257 >= 3
     assert partial == b"".join(want.splitlines(keepends=True)[:1 + delivered // 257 * 257])
 

@@ -1,5 +1,6 @@
 import builtins
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,41 @@ def test_kernel_clamps_affine_copies_to_unit_correlation():
         extreme, at = (res.hcc, res.bcc) if sign > 0 else (res.lcc, res.wcc)
         assert extreme == sign
         assert at == comps[int(np.flatnonzero(res.values == sign)[0])]
+
+
+def scan_bits(a, b, m):
+    """Everything a one-pair scan returns, as bytes and reprs, so -0.0 and NaN compare too."""
+    res = scan(a, b, CompositionSpec(a.n, m), ScanOptions(distribution=True, clouds=True))
+    return (res.values.tobytes(), res.clouds.tobytes(),
+            repr((res.hcc, res.lcc, res.pearson, res.bcc, res.wcc, res.n_undefined)))
+
+
+def test_block_geometry_changes_no_bit(monkeypatch, step_pair):
+    def geometry(rows, n):
+        monkeypatch.setattr(_blocks, "BLOCK_ROWS", rows)
+        _blocks.blocks_for.cache_clear()
+        return _blocks.batches(_blocks.blocks_for(n, 2))
+
+    ds, _ = step_pair
+    rng = np.random.default_rng(31)
+    cases = (((ds.get("step"), ds.get("b")), (16, 300, 16384, 65536)),
+             ((TimeSeries("a", rng.normal(size=31)), TimeSeries("b", rng.normal(size=31))), (16384, 65536)))
+    assert scan(ds.get("step"), ds.get("b"), CompositionSpec(18, 2)).n_undefined > 0
+    try:
+        for (a, b), geometries in cases:
+            bits = []
+            for rows in geometries:
+                batches = geometry(rows, a.n)
+                if rows == 16:
+                    # batches of several blocks, some filling their rows exactly
+                    assert any(hi - lo == rows and len(blks) > 1 for lo, hi, blks in batches)
+                bits.append(scan_bits(a, b, 2))
+            assert bits == bits[:1] * len(geometries)
+        # the clamp, on blocks and batches of at most 16 compositions
+        geometry(16, 13)
+        test_kernel_clamps_affine_copies_to_unit_correlation()
+    finally:
+        _blocks.blocks_for.cache_clear()
 
 
 def test_in_process_runs_release_their_context():
@@ -414,6 +450,19 @@ def test_composition_labels_match_format_composition(monkeypatch, n, m, label_ro
     assert labels(range(0, ncomp)) == want[1:]
     with pytest.raises(IndexError):
         composition_labels(spec, [ncomp])
+
+
+def test_label_table_is_built_in_place():
+    # at (34, 2): 26,539 prefix runs; a string per label first peaked at 3.7x the table
+    engine._label_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = engine._label_table(34, 2, engine.LABEL_ROWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        engine._label_table.cache_clear()
+    assert peak <= 2 * sum(part.nbytes for part in table)
 
 
 @pytest.mark.parametrize("n, m", [(23, 4), (13, 2)])

@@ -73,3 +73,23 @@ def test_a_large_offset_barely_moves_the_extremes(case):
     moved = run(n, m, a + 1e6, b + 1e6)
     for x, y in zip(base[:3], moved[:3]):
         assert abs(x - y) <= 1e-9
+
+
+@settings(deadline=None)
+@given(grid_pairs(), st.integers(-200, 200), st.booleans())
+def test_a_power_of_two_changes_no_bit(case, exponent, first):
+    # each row enters the kernel scaled to max |x| in [0.5, 1) by a power of two
+    n, m, a, b = case
+    scale = 2.0 ** exponent
+    moved = run(n, m, a * scale, b) if first else run(n, m, a, b * scale)
+    assert repr(moved) == repr(run(n, m, a, b))
+
+
+@settings(deadline=None)
+@given(normal_pairs(), st.floats(1e-2, 1e2), st.floats(-1e3, 1e3), st.booleans())
+def test_a_positive_affine_map_barely_moves_the_extremes(case, scale, offset, first):
+    n, m, a, b = case
+    base = run(n, m, a, b)
+    moved = run(n, m, a * scale + offset, b) if first else run(n, m, a, b * scale + offset)
+    for x, y in zip(base[:3], moved[:3]):
+        assert abs(x - y) <= 1e-9
