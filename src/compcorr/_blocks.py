@@ -25,7 +25,9 @@ The kernel (``engine._scan_span``) evaluates r over :func:`batches`,
 runs of consecutive blocks that fill one buffer of at most BLOCK_ROWS
 rows, so its per-composition work is paid once per batch, however small
 the blocks.  Neither the blocks nor the batches change a bit of any
-value: each is a left-to-right sum whatever block it falls in.
+value: each is a left-to-right sum whatever block it falls in.  The
+composition labels follow the same cut, so BLOCK_ROWS is the one place
+the canonical order is cut.
 """
 from __future__ import annotations
 
@@ -41,7 +43,9 @@ from .segments import segment_ids
 
 # Most compositions per block and per kernel batch.  It bounds the shared
 # tail tries, the node buffer of a product and the kernel's per-batch
-# scratch: at n=31, m=2, tries of 1.1 MB and a batch of 16,384 rows.
+# scratch: at n=31, m=2, tries of 1.1 MB and a batch of 16,384 rows.  The
+# composition-label table (``engine._label_table``) is cut at it too, one
+# head per block and the tail labels of the same remainders.
 BLOCK_ROWS = 16384
 
 

@@ -2,7 +2,7 @@
 
 A dataset file is delimited text, one series per row: first field is the
 series id, the rest are its observations.  A header row is optional and
-auto-detected (non-numeric second field).  The delimiter is sniffed from
+auto-detected (no numeric observation cell).  The delimiter is sniffed from
 tab, comma, or semicolon unless given.  Lines starting with ``#`` are
 skipped, except a leading ``# time`` line, which carries numeric time
 labels for the observation columns.
@@ -141,7 +141,8 @@ def load_dataset(path, *, delimiter: str | None = None, header: str = "auto") ->
     if width < 3:
         raise ValueError(f"{path}: rows need an id and at least 2 observations, got {width} fields")
 
-    has_header = header == "yes" or (header == "auto" and not _is_number(parsed[0][1][1]))
+    # a header has no numeric observation cell: a data row may miss some
+    has_header = header == "yes" or (header == "auto" and not any(map(_is_number, parsed[0][1][1:])))
     if has_header:
         parsed = parsed[1:]
         if not parsed:

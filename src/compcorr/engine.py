@@ -39,7 +39,9 @@ indices).  Given a precision, the worker also renders them to text in
 bulk, so the parent only writes: :func:`render_fixed` turns each number
 column into fixed-point digits in a byte matrix, and
 :func:`composition_labels` reads BCC and WCC labels out of the one
-composition-label table, which distribution files use too.
+composition-label table, which distribution files use too.  The table is
+cut like the kernel's blocks: a head per block, and the tail labels of
+every remainder the blocks' tries hold.
 ``format_number``, ``format_composition`` and ``record_line`` remain the
 per-value reference that the bulk text matches byte for byte.  The batch
 entry points hand their pairs out through :class:`Records`, which builds
@@ -76,9 +78,6 @@ _CELL_BUDGET = 4_194_304    # max cells of a (compositions x pairs) intermediate
 _VAR_SUM_BUDGET = 25_000_000  # max cells of the per-series variance-sum table
 
 TIME_ID = "time"
-# Most compositions per run of the composition-label table.  The table then
-# holds a few thousand tail labels while a run still spans hundreds of lines.
-LABEL_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -285,86 +284,60 @@ class _Parts(dict):
         return got
 
 
-def _run_shape(n: int, m: int, cap: int) -> tuple[int, int]:
-    """The number of ``prefix_runs(n, m, cap)``, and the length of the
-    longest run head: ``[``, then the prefix's parts, each followed by a
-    comma unless it ends the composition."""
-
-    @lru_cache(maxsize=None)
-    def below(q: int) -> tuple[int, int]:  # runs, and longest text, under a prefix with q left
-        if q <= cap:
-            return 1, 0
-        runs = longest = 0
-        for p in (*range(m, q - m + 1), q):
-            k, text = below(q - p)
-            runs += k
-            longest = max(longest, len(str(p)) + (p < q) + text)
-        return runs, longest
-
-    runs, longest = below(n)
-    return runs, 1 + longest
-
-
-def _text_rows(labels, count: int, width: int) -> np.ndarray:
-    """``count`` byte strings of at most ``width`` bytes, as the rows of a
-    NUL-padded uint8 matrix; rows past the last label stay empty."""
-    buf = bytearray(count * width)
-    for at, label in zip(range(0, count * width, width), labels):
-        buf[at:at + len(label)] = label
-    return np.frombuffer(buf, np.uint8).reshape(count, width)
-
-
 @lru_cache(maxsize=4)
-def _label_table(n: int, m: int, label_rows: int):
-    """The canonical order of compositions of n, cut into prefix runs.
+def _label_table(n: int, m: int):
+    """The canonical order of compositions of n, cut as the kernel's blocks are.
 
-    Returns, as padded byte matrices, each run's head (``[`` and its prefix
-    parts) and every tail label, with its ``]``, of remainders 0 and
-    m..cap; then, per run, the tail row of its first composition less its
-    first index, and the index one past its end.  The last head and tail
-    rows, empty and ``NA``, label index -1.  Each label is written
-    straight into its matrix, so the build holds little beyond the table.
+    The cut is ``prefix_runs`` at ``tail_cap(n, m, _blocks.BLOCK_ROWS)``,
+    read without building the blocks' tries.  Returns, as NUL-padded byte
+    matrices, each block's head (``[`` and its prefix parts) and every tail
+    label, with its ``]``, of remainders 0 and m..cap; then, per block, the
+    tail row of its first composition less its offset, and its end.  The
+    last head and tail rows, empty and ``NA``, label index -1.
     """
-    cap = tail_cap(n, m, label_rows)
+    cap = tail_cap(n, m, _blocks.BLOCK_ROWS)
+    heads, remainders = [], []
+    for prefix, remainder in prefix_runs(n, m, cap):
+        heads.append("[" + ",".join(map(str, prefix)) + "," * bool(prefix and remainder))
+        remainders.append(remainder)
+    heads = byte_rows(heads + [""])
+    # the tails of r: each first part p, then "p," before each tail of r - p,
+    # or "r" before the tail "]" of 0; every block of them one copy
     sizes = np.array(composition_counts(cap, m))  # zero for remainders 1..m-1
-    text = [str(p).encode() for p in range(n + 1)]
-    runs, width = _run_shape(n, m, cap)
-    remainders = np.empty(runs, np.intp)
-
-    def heads():
-        for k, (prefix, remainder) in enumerate(prefix_runs(n, m, cap)):
-            remainders[k] = remainder
-            yield b"[" + b",".join([text[p] for p in prefix]) + b"," * bool(prefix and remainder)
-
-    def tails():
-        for r in (0, *range(m, cap + 1)):
-            for parts, _ in prefix_runs(r, m, 0):
-                yield b",".join([text[p] for p in parts]) + b"]"
-        yield b"NA"
-
-    # a tail "...]" is as long as the head "[..." of its whole composition
-    tail_width = max(2, *(_run_shape(r, m, 0)[1] for r in range(m, cap + 1)))
-    head_rows = _text_rows(heads(), runs + 1, width)
-    tail_rows = _text_rows(tails(), int(sizes.sum()) + 1, tail_width)
     first = np.cumsum(sizes) - sizes
+    width = [1] + [0] * cap
+    for r in range(m, cap + 1):
+        width[r] = max(len(str(p)) + (p < r) + width[r - p] for p in (*range(m, r - m + 1), r))
+    tails = np.zeros((int(sizes.sum()) + 1, max(2, *width)), np.uint8)
+    tails[0, 0] = ord("]")
+    tails[-1, :2] = (ord("N"), ord("A"))
+    for r in range(m, cap + 1):
+        at = first[r]
+        for p in (*range(m, r - m + 1), r):
+            q = r - p
+            text = np.frombuffer(f"{p}{',' * (p < r)}".encode(), np.uint8)
+            rows = tails[at:at + sizes[q]]
+            rows[:, :len(text)] = text
+            rows[:, len(text):len(text) + width[q]] = tails[first[q]:first[q] + sizes[q], :width[q]]
+            at += sizes[q]
     run_sizes = sizes[remainders]
     ends = np.cumsum(run_sizes)
     offsets = first[remainders]
     offsets -= ends
     offsets += run_sizes
-    return head_rows, tail_rows, offsets, ends
+    return heads, tails, offsets, ends
 
 
 def composition_labels(spec: CompositionSpec, index) -> tuple[np.ndarray, np.ndarray]:
     """Labels of canonical composition indices, as two NUL-padded byte columns.
 
-    The columns are each label's run head and its tail with the ``]``.
+    The columns are each label's block head and its tail with the ``]``.
     Joined by :func:`join_rows`, row k reads as ``format_composition``
     writes composition ``index[k]``, and ``NA`` where that index is -1.
     A non-empty ``range`` of indices, as a distribution file asks for,
-    finds its runs from its two ends alone.
+    finds its blocks from its two ends alone.
     """
-    heads, tails, offsets, ends = _label_table(spec.n, spec.m, LABEL_ROWS)
+    heads, tails, offsets, ends = _label_table(spec.n, spec.m)
     if isinstance(index, range):
         first, last = np.searchsorted(ends, [index.start, index.stop - 1], side="right")
         sizes = np.diff(ends[first:last] - index.start, prepend=0, append=len(index))

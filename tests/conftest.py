@@ -3,6 +3,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from compcorr import _blocks, engine
 from compcorr.datasets import Dataset, write_dataset
 from compcorr.segments import TimeSeries
 
@@ -19,6 +20,26 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting)
     return starts
+
+
+@pytest.fixture()
+def block_rows():
+    """Sets ``_blocks.BLOCK_ROWS``, the one cut of the canonical order.
+
+    ``block_rows(rows)`` cuts the kernel's blocks and the composition-label
+    table at ``rows`` compositions, with both caches cleared; the default
+    cut comes back, caches cleared again, at teardown.
+    """
+    default = _blocks.BLOCK_ROWS
+
+    def cut(rows: int) -> None:
+        _blocks.BLOCK_ROWS = rows
+        _blocks.blocks_for.cache_clear()
+        engine._label_table.cache_clear()
+
+    cut(default)
+    yield cut
+    cut(default)
 
 
 @pytest.fixture()

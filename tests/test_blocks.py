@@ -27,13 +27,9 @@ def per_segment_inputs(nseg, seed):
 
 
 @pytest.mark.parametrize("n, m, rows", [(13, 2, 4), (18, 3, 5), (23, 4, 3)])
-def test_incidence_products_match_a_left_to_right_sum(monkeypatch, n, m, rows):
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", rows)
-    _blocks.blocks_for.cache_clear()
-    try:
-        blocks = _blocks.blocks_for(n, m)
-    finally:
-        _blocks.blocks_for.cache_clear()
+def test_incidence_products_match_a_left_to_right_sum(block_rows, n, m, rows):
+    block_rows(rows)
+    blocks = _blocks.blocks_for(n, m)
     spec = CompositionSpec(n, m)
     comps = list(enumerate_compositions(spec))
     # many blocks, prefixes of several lengths, and prefixes that end the composition

@@ -14,7 +14,7 @@ import pytest
 
 from compcorr import _blocks, cli, engine
 from compcorr.cli import _default_workers, _guarded_output, _write_distribution, build_parser, main
-from compcorr.compositions import CompositionSpec, prefix_runs, tail_cap
+from compcorr.compositions import CompositionSpec
 from compcorr.corr import ScanOptions
 from compcorr.engine import scan
 from compcorr.datasets import Dataset, write_dataset
@@ -95,15 +95,15 @@ def in_blocks(values, sizes):
     return fill
 
 
-@pytest.mark.parametrize("label_rows", [1, 16, engine.LABEL_ROWS])
+@pytest.mark.parametrize("rows", [1, 16, _blocks.BLOCK_ROWS])
 @pytest.mark.parametrize("n,m", [(18, 2), (20, 3), (23, 4)])
-def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatch, n, m, label_rows):
-    monkeypatch.setattr(engine, "LABEL_ROWS", label_rows)
+def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatch, block_rows, n, m, rows):
+    block_rows(rows)
     monkeypatch.setattr(cli, "BLOCK_LINES", 100)
-    runs = list(prefix_runs(n, m, tail_cap(n, m, label_rows)))
-    if label_rows < engine.LABEL_ROWS:
-        # the small tables cut the file into many runs, some a whole composition
-        assert len(runs) > 1 and any(rem == 0 for _, rem in runs)
+    if rows <= 16:
+        # the small cuts make many blocks, some a whole composition
+        blocks = _blocks.blocks_for(n, m)
+        assert len(blocks) > 1 and any(not blk.matrix.tail.levels for blk in blocks)
     rng = np.random.default_rng(n * 100 + m)
     step = np.repeat(rng.normal(size=3), [m, n - 2 * m, m])
     pairs = [
@@ -190,14 +190,11 @@ def test_one_pair_scans_stream_their_files(in_tmp, pair31, command):
 
 
 @pytest.fixture()
-def small_blocks(monkeypatch):
+def small_blocks(monkeypatch, block_rows):
     """Kernel blocks of at most 300 compositions, groups of 257 lines: every
     file below is cut both ways, at places that straddle each other."""
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 300)
+    block_rows(300)
     monkeypatch.setattr(cli, "BLOCK_LINES", 257)
-    _blocks.blocks_for.cache_clear()
-    yield
-    _blocks.blocks_for.cache_clear()
 
 
 def test_streamed_files_match_line_by_line_rendering(in_tmp, small_blocks, step_pair):

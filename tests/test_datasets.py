@@ -73,6 +73,18 @@ def test_load_excludes_non_numeric_rows_with_warning(tmp_path):
     assert any("bad" in str(w.message) for w in caught)
 
 
+def test_load_headerless_first_row_missing_its_first_observation(tmp_path):
+    # a first row with a number among its observations is data, not a header
+    p = make(tmp_path, "g1\tNA\t1.0\t2.0\t3.0\ng2\t1\t2\t3\t4\ng3\t5\t6\t7\t8\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = load_dataset(p)
+    assert ds.load_report.header is False
+    assert ds.ids() == ["g2", "g3"]
+    assert [(line, sid) for line, sid, _ in ds.load_report.excluded] == [(1, "g1")]
+    assert any("g1" in str(w.message) for w in caught)
+
+
 def test_load_ragged_row_reports_line_number(tmp_path):
     p = make(tmp_path, "a\t1\t2\t3\nb\t4\t5\n")
     with pytest.raises(ValueError, match="line 2"):

@@ -154,10 +154,9 @@ def scan_bits(a, b, m):
             repr((res.hcc, res.lcc, res.pearson, res.bcc, res.wcc, res.n_undefined)))
 
 
-def test_block_geometry_changes_no_bit(monkeypatch, step_pair):
+def test_block_geometry_changes_no_bit(block_rows, step_pair):
     def geometry(rows, n):
-        monkeypatch.setattr(_blocks, "BLOCK_ROWS", rows)
-        _blocks.blocks_for.cache_clear()
+        block_rows(rows)
         return _blocks.batches(_blocks.blocks_for(n, 2))
 
     ds, _ = step_pair
@@ -165,21 +164,18 @@ def test_block_geometry_changes_no_bit(monkeypatch, step_pair):
     cases = (((ds.get("step"), ds.get("b")), (16, 300, 16384, 65536)),
              ((TimeSeries("a", rng.normal(size=31)), TimeSeries("b", rng.normal(size=31))), (16384, 65536)))
     assert scan(ds.get("step"), ds.get("b"), CompositionSpec(18, 2)).n_undefined > 0
-    try:
-        for (a, b), geometries in cases:
-            bits = []
-            for rows in geometries:
-                batches = geometry(rows, a.n)
-                if rows == 16:
-                    # batches of several blocks, some filling their rows exactly
-                    assert any(hi - lo == rows and len(blks) > 1 for lo, hi, blks in batches)
-                bits.append(scan_bits(a, b, 2))
-            assert bits == bits[:1] * len(geometries)
-        # the clamp, on blocks and batches of at most 16 compositions
-        geometry(16, 13)
-        test_kernel_clamps_affine_copies_to_unit_correlation()
-    finally:
-        _blocks.blocks_for.cache_clear()
+    for (a, b), geometries in cases:
+        bits = []
+        for rows in geometries:
+            batches = geometry(rows, a.n)
+            if rows == 16:
+                # batches of several blocks, some filling their rows exactly
+                assert any(hi - lo == rows and len(blks) > 1 for lo, hi, blks in batches)
+            bits.append(scan_bits(a, b, 2))
+        assert bits == bits[:1] * len(geometries)
+    # the clamp, on blocks and batches of at most 16 compositions
+    geometry(16, 13)
+    test_kernel_clamps_affine_copies_to_unit_correlation()
 
 
 def test_in_process_runs_release_their_context():
@@ -426,10 +422,10 @@ def reference_records(spec, ids, columns):
             for a, b, h, p, l, bc, wc in zip(*columns)]
 
 
-@pytest.mark.parametrize("label_rows", [1, 16, engine.LABEL_ROWS])
-@pytest.mark.parametrize("n, m", [(23, 4), (13, 2), (18, 2)])
-def test_composition_labels_match_format_composition(monkeypatch, n, m, label_rows):
-    monkeypatch.setattr(engine, "LABEL_ROWS", label_rows)
+@pytest.mark.parametrize("rows", [1, 16, _blocks.BLOCK_ROWS])
+@pytest.mark.parametrize("n, m", [(23, 4), (13, 2), (18, 2), (23, 2)])
+def test_composition_labels_match_format_composition(block_rows, n, m, rows):
+    block_rows(rows)
     spec = CompositionSpec(n, m)
     ncomp = count_compositions(spec)
 
@@ -453,11 +449,11 @@ def test_composition_labels_match_format_composition(monkeypatch, n, m, label_ro
 
 
 def test_label_table_is_built_in_place():
-    # at (34, 2): 26,539 prefix runs; a string per label first peaked at 3.7x the table
+    # at (34, 2): 3,113 heads and 28,658 tail rows
     engine._label_table.cache_clear()
     tracemalloc.start()
     try:
-        table = engine._label_table(34, 2, engine.LABEL_ROWS)
+        table = engine._label_table(34, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,8 +461,26 @@ def test_label_table_is_built_in_place():
     assert peak <= 2 * sum(part.nbytes for part in table)
 
 
+@pytest.mark.parametrize("n", [31, 34])
+def test_label_table_is_cut_like_the_blocks(n):
+    heads, _, _, ends = engine._label_table(n, 2)
+    blocks = _blocks.blocks_for(n, 2)
+    assert len(heads) == len(blocks) + 1
+    assert ends.tolist() == [blk.offset + blk.count for blk in blocks]
+
+
+def test_label_table_stops_growing_with_n():
+    # one head per block and the tails up to the kernel's cap: 4.3 MB at
+    # (37, 2) with a head per 1,024 compositions
+    engine._label_table.cache_clear()
+    try:
+        assert sum(part.nbytes for part in engine._label_table(37, 2)) < 1_500_000
+    finally:
+        engine._label_table.cache_clear()
+
+
 @pytest.mark.parametrize("n, m", [(23, 4), (13, 2)])
-def test_rendered_records_match_record_line(monkeypatch, n, m):
+def test_rendered_records_match_record_line(monkeypatch, block_rows, n, m):
     spec = CompositionSpec(n, m)
     ncomp = count_compositions(spec)
     assert engine._Parts(spec)[-1] is None
@@ -487,8 +501,8 @@ def test_rendered_records_match_record_line(monkeypatch, n, m):
     want = reference_records(spec, ids, columns)
     assert len(records) == size and list(records) == want
     assert records[-1] == want[-1] and records[3] == want[3]
-    for label_rows in (1, 16, engine.LABEL_ROWS):
-        monkeypatch.setattr(engine, "LABEL_ROWS", label_rows)
+    for rows in (1, 16, _blocks.BLOCK_ROWS):
+        block_rows(rows)
         for precision in (0, 6, 15):
             assert records.render(precision) == "".join(record_line(r, precision) + "\n" for r in want)
     assert "\t-0.000000\t" in records.render(6) and "\tNA\t" in records.render(6)
@@ -572,24 +586,20 @@ def test_versus_time_respects_filter():
 
 
 @pytest.mark.parametrize("n, m", [(13, 2), (23, 4)])
-def test_streamed_blocks_match_cached_blocks(monkeypatch, n, m):
+def test_streamed_blocks_match_cached_blocks(monkeypatch, block_rows, n, m):
     ds = toy_dataset(S=6, n=n)
     cached, _ = collect(ds, JobConfig(m=m))
     cached_time = run_versus_time(ds, JobConfig(m=m))
     # each span walks many small blocks (prefixes, shared tails), and there
     # are several chunks, so 2 workers run a pool
     monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 16)
-    _blocks.blocks_for.cache_clear()
-    try:
-        assert len(_blocks.blocks_for(n, m)) > 1
-        for workers in (1, 2):
-            streamed, summary = collect(ds, JobConfig(m=m, workers=workers))
-            assert streamed == cached
-            assert summary.pairs_scanned == len(cached)
-        assert run_versus_time(ds, JobConfig(m=m)) == cached_time
-    finally:
-        _blocks.blocks_for.cache_clear()
+    block_rows(16)
+    assert len(_blocks.blocks_for(n, m)) > 1
+    for workers in (1, 2):
+        streamed, summary = collect(ds, JobConfig(m=m, workers=workers))
+        assert streamed == cached
+        assert summary.pairs_scanned == len(cached)
+    assert run_versus_time(ds, JobConfig(m=m)) == cached_time
 
 
 # ----------------------------------------------------------- mixed scales
