@@ -27,7 +27,9 @@ rows, so its per-composition work is paid once per batch, however small
 the blocks.  Neither the blocks nor the batches change a bit of any
 value: each is a left-to-right sum whatever block it falls in.  The
 composition labels follow the same cut, so BLOCK_ROWS is the one place
-the canonical order is cut.
+the canonical order is cut into blocks and batches.  A one-pair file's
+writer (``cli._write_lines``) takes each batch as it comes and only
+slices it, at most ``cli.BLOCK_LINES`` lines per render and write.
 """
 from __future__ import annotations
 
@@ -45,7 +47,8 @@ from .segments import segment_ids
 # tail tries, the node buffer of a product and the kernel's per-batch
 # scratch: at n=31, m=2, tries of 1.1 MB and a batch of 16,384 rows.  The
 # composition-label table (``engine._label_table``) is cut at it too, one
-# head per block and the tail labels of the same remainders.
+# head per block and the tail labels of the same remainders.  A one-pair
+# file is written batch by batch, each batch in slices of cli.BLOCK_LINES.
 BLOCK_ROWS = 16384
 
 

@@ -8,8 +8,10 @@ clouds and record tables are rendered in bulk, numbers by
 ``engine.composition_labels``, and read byte for byte as ``format_number``
 and ``format_composition`` write them.  ``pair``, ``clouds`` and
 ``all-pairs --emit-distribution`` stream their one-pair files: the scan
-hands each batch of compositions to the file's writer, which writes
-BLOCK_LINES lines at a time, so no array holds a value per composition.
+hands each batch of compositions (``_blocks.BLOCK_ROWS`` at most) to the
+file's writer, which renders and writes it BLOCK_LINES lines at a time,
+so no array holds a value per composition.  Series ids are checked
+before they go into a file name.
 Exit status is 0 only when the requested computation completed; aborted
 runs leave their partial output renamed with a .partial suffix.
 """
@@ -21,13 +23,13 @@ import sys
 import time
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
+from itertools import accumulate
 from pathlib import Path
 
-import numpy as np
-
+from .baselines import pearson
 from .compositions import CompositionSpec, count_compositions
 from ._blocks import Scratch
-from .corr import ScanOptions, comp_correlation
+from .corr import ScanOptions
 from .datasets import DEFAULT_RANGES, FUNCTIONS, Dataset, SynthSpec, load_dataset, synth_dataset, write_dataset
 from .engine import (
     JobConfig,
@@ -44,13 +46,14 @@ from .engine import (
     run_versus_time,
     scan,
 )
-from .segments import ConsistencyError, TimeSeries
+from .segments import ConsistencyError
 
 PROGRESS_EVERY = 10_000
-# Lines rendered per write of a distribution or clouds file.  A group's
-# temporaries, about 140 bytes a line, are freed after its write: at 4,096
-# lines the C heap reuses them group to group, where 8,192-line groups
-# were handed back to the system and faulted in again each time.
+# Most lines per render and write of a distribution or clouds file: the
+# writer cuts each kernel batch into slices of at most this many lines.
+# A slice's temporaries, about 140 bytes a line, are freed after its
+# write; rendering whole 16,384-row batches at once raised the peak RSS
+# of an n=31 pair by 2.3 MB.
 BLOCK_LINES = 4096
 
 
@@ -146,63 +149,46 @@ def _progress_printer(label: str):
     return report
 
 
+def _check_file_ids(ids) -> None:
+    """Refuse series ids that cannot be part of an output file name."""
+    for name in ids:
+        if name in (".", "..") or any(sep in name for sep in (os.sep, os.altsep) if sep):
+            raise ValueError(f"series id {name!r} cannot be part of a file name: "
+                             "it is . or .. or holds a path separator")
+
+
 def _distribution_path(outdir: Path, dataset: str, id_a: str, id_b: str, spec: CompositionSpec) -> Path:
     return outdir / f"Output.{dataset}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt"
 
 
-class _Lines:
-    """A one-pair scan's sink that writes its file BLOCK_LINES lines at a time.
-
-    The scan's batches, one column or several, arrive in canonical order
-    and gather in one group buffer of BLOCK_LINES rows.  Each full group,
-    and the last, goes out in one write: ``render(first, *columns)``
-    gives the group's byte columns, ``first`` being its first canonical
-    composition index, and :func:`join_rows` joins them in buffers
-    reused group to group.  So memory is one batch and one group,
-    whatever n.
-    """
-
-    def __init__(self, out, render, width: int):
-        self.out = out
-        self.render = render
-        self.rows = np.empty((width, BLOCK_LINES))
-        self.done = self.held = 0
-        self.scratch = Scratch()
-
-    def __call__(self, offset: int, *columns) -> None:
-        at, count = 0, len(columns[0])
-        while at < count:
-            take = min(BLOCK_LINES - self.held, count - at)
-            for row, col in zip(self.rows, columns):
-                row[self.held:self.held + take] = col[at:at + take]
-            self.held += take
-            at += take
-            if self.held == BLOCK_LINES:
-                self.flush()
-
-    def flush(self) -> None:
-        if self.held:
-            columns = self.render(self.done, *self.rows[:, :self.held])
-            self.out.write(join_rows(columns, self.scratch))
-            self.done += self.held
-            self.held = 0
-
-
-def _write_lines(path: Path, header: bytes, spec: CompositionSpec, scan, render, width: int = 1):
+def _write_lines(path: Path, header: bytes, spec: CompositionSpec, scan, render):
     """Write a one-pair scan's file: the header, then one line per composition.
 
-    ``scan(sink)`` runs the scan with a :class:`_Lines` of ``render`` as
-    its per-batch sink; its result is returned.  A scan that fails, or
-    hands over other than every composition, leaves a .partial file.
+    ``scan(sink)`` runs the scan with a sink that writes each batch as it
+    arrives, straight from the kernel's arrays, in slices of at most
+    BLOCK_LINES lines: ``render(first, *columns)`` gives a slice's byte
+    columns, ``first`` being its first canonical composition index, and
+    :func:`join_rows` joins them in buffers reused slice to slice.  So
+    memory is one batch and one slice, whatever n.  The scan's result is
+    returned.  A scan that fails, or hands over other than every
+    composition, leaves a .partial file.
     """
     with _guarded_output(path, "wb") as out:
         out.write(header)
-        lines = _Lines(out, render, width)
-        result = scan(lines)
-        lines.flush()
+        scratch, done = Scratch(), 0
+
+        def sink(offset: int, *columns) -> None:
+            nonlocal done
+            count = len(columns[0])
+            for at in range(0, count, BLOCK_LINES):
+                rows = [col[at:at + BLOCK_LINES] for col in columns]
+                out.write(join_rows(render(offset + at, *rows), scratch))
+            done += count
+
+        result = scan(sink)
         total = count_compositions(spec)
-        if lines.done != total:
-            raise ValueError(f"the scan delivered {lines.done} of {total} compositions")
+        if done != total:
+            raise ValueError(f"the scan delivered {done} of {total} compositions")
     return result
 
 
@@ -230,19 +216,7 @@ def _write_clouds(path: Path, spec: CompositionSpec, precision: int, scan):
         va, vb, cov = (byte_rows([format(v, spec_g) for v in col.tolist()]) for col in sums)
         return [render_fixed(values, precision), b"\t", va, b"\t", vb, b"\t", cov, b"\n"]
 
-    return _write_lines(path, b"r_c\tvar_a\tvar_b\tcov\n", spec, scan, render, width=4)
-
-
-def _part_correlations(a, b, parts) -> list[float | None]:
-    """r of each part on its own: the one-part composition, with the kernel's zero flush."""
-    out = []
-    start = 0
-    for length in parts:
-        part = slice(start, start + length)
-        out.append(comp_correlation(TimeSeries(a.id, a.values[part]), TimeSeries(b.id, b.values[part]),
-                                    (length,)))
-        start += length
-    return out
+    return _write_lines(path, b"r_c\tvar_a\tvar_b\tcov\n", spec, scan, render)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +243,7 @@ def _cmd_pair(args) -> int:
     spec = CompositionSpec(ds.n, args.min_part)
     id_a, id_b = args.id_a, args.id_b
     a, b = ds.get(id_a), ds.get(id_b)  # an unknown id fails before any file is opened
+    _check_file_ids((id_a, id_b))
     outdir = Path(args.output) if args.output else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     dist_path = _distribution_path(outdir, ds.name, id_a, id_b, spec)
@@ -285,7 +260,8 @@ def _cmd_pair(args) -> int:
     for label, parts in (("BCC", result.bcc), ("WCC", result.wcc)):
         if parts is None:
             continue
-        rs = _part_correlations(a, b, parts)
+        rs = [pearson(a.values[end - k:end], b.values[end - k:end])
+              for end, k in zip(accumulate(parts), parts)]
         print(f"{label} part r: " + " ".join(format_number(r, p) for r in rs))
     print(f"wrote {dist_path}")
     return 0
@@ -298,8 +274,11 @@ def _cmd_clouds(args) -> int:
     id_a = args.id_a or ids[0]
     id_b = args.id_b or (ids[1] if len(ids) > 1 else ids[0])
     a, b = ds.get(id_a), ds.get(id_b)
-    out = Path(args.output) if args.output else Path(
-        f"Clouds.{ds.name}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt")
+    if args.output:
+        out = Path(args.output)
+    else:
+        _check_file_ids((id_a, id_b))
+        out = Path(f"Clouds.{ds.name}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt")
     result = _write_clouds(out, spec, args.precision,
                            lambda sink: scan(a, b, spec, ScanOptions(clouds=True), sink))
     print(f"wrote {out}: {result.n_compositions} compositions "
@@ -313,6 +292,8 @@ def _cmd_all_pairs(args) -> int:
     spec = CompositionSpec(ds.n, args.min_part)
     out = Path(args.output) if args.output else Path(f"Pairs.{ds.name}.n{spec.n}.m{spec.m}.tsv")
     p = args.precision
+    if args.emit_distribution:
+        _check_file_ids(ds.ids())
     kept: list[tuple[str, str]] = []
     with _guarded_output(out) as fh:
         fh.write(RECORD_HEADER + "\n")

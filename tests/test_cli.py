@@ -119,10 +119,12 @@ def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatc
             assert np.isnan(result.values).any()
         for precision in (0, 3, 6):
             path = tmp_path / f"{a.id}.{precision}.txt"
-            # blocks that straddle the 100-line groups, and one line on its own
-            got = _write_distribution(path, spec, precision, in_blocks(result.values, [37, 1, 250]))
-            assert got == "done"
-            assert path.read_bytes() == line_by_line_distribution(result, precision)
+            # batches cut into 100-line slices and a rest, one line on its
+            # own, and batches of exactly one and two slices
+            for sizes in ([37, 1, 250], [100, 200]):
+                got = _write_distribution(path, spec, precision, in_blocks(result.values, sizes))
+                assert got == "done"
+                assert path.read_bytes() == line_by_line_distribution(result, precision)
     assert "\t-0.000000\n" in path.read_text()
     assert "\tNA\n" in path.read_text()
 
@@ -191,8 +193,9 @@ def test_one_pair_scans_stream_their_files(in_tmp, pair31, command):
 
 @pytest.fixture()
 def small_blocks(monkeypatch, block_rows):
-    """Kernel blocks of at most 300 compositions, groups of 257 lines: every
-    file below is cut both ways, at places that straddle each other."""
+    """Kernel batches of at most 300 compositions, each written in slices
+    of at most 257 lines: every file below is cut both ways, the slices
+    starting afresh at each batch."""
     block_rows(300)
     monkeypatch.setattr(cli, "BLOCK_LINES", 257)
 
@@ -204,8 +207,11 @@ def test_streamed_files_match_line_by_line_rendering(in_tmp, small_blocks, step_
     assert len(_blocks.blocks_for(18, 2)) > 8
     kept = scan(a, b, spec, ScanOptions(clouds=True))
     assert np.isnan(kept.values).any()
-    # lines that read -0.000000, on both sides of a group and a block boundary
-    inject = {1: -1e-9, 256: -0.0, 257: -1e-12, 299: -0.0, 300: -1e-9, kept.n_compositions - 2: -0.0}
+    # lines that read -0.000000, on both sides of a batch boundary (233) and
+    # of a slice boundary within a batch (233 + 257)
+    inject = {1: -1e-9, 232: -0.0, 233: -1e-12, 256: -0.0, 257: -1e-12, 299: -0.0, 300: -1e-9,
+              489: -1e-9, 490: -0.0, kept.n_compositions - 2: -0.0}
+    assert (233, 521) in [(lo, hi) for lo, hi, _ in _blocks.batches(_blocks.blocks_for(18, 2))]
 
     def injected(sink):
         def block(lo, values):
@@ -257,10 +263,11 @@ def test_failed_scan_leaves_a_partial_distribution(in_tmp, small_blocks, step_pa
     assert "injected kernel failure" in err
     assert not Path("Output.sp.step.b.n18.m2.txt").exists()
     partial = Path("Output.sp.step.b.n18.m2.txt.partial").read_bytes()
-    # the whole groups of 257 lines before the failing batch
+    # every line of the batches before the failing one, written in slices
+    # of at most 257 lines: more than a whole number of slices
     delivered = min(lo for lo, _, _ in _blocks.batches(_blocks.blocks_for(18, 2)) if lo >= 1000)
-    assert delivered // 257 >= 3
-    assert partial == b"".join(want.splitlines(keepends=True)[:1 + delivered // 257 * 257])
+    assert delivered // 257 >= 3 and delivered % 257
+    assert partial == b"".join(want.splitlines(keepends=True)[:1 + delivered])
 
 
 def test_unknown_series_leaves_no_file(in_tmp, step_pair):
@@ -271,6 +278,50 @@ def test_unknown_series_leaves_no_file(in_tmp, step_pair):
         assert code == 1
         assert "no series named 'zzz'" in err
     assert os.listdir(".") == ["sp.tsv"]
+
+
+@pytest.fixture()
+def path_ids(in_tmp):
+    """A dataset whose series ids cannot go into a file name, in the working directory."""
+    rng = np.random.default_rng(8)
+    ids = ("g/1", "..", "g2")
+    write_dataset(Dataset(series=tuple(TimeSeries(k, rng.normal(size=8)) for k in ids), name="d"),
+                  Path("d.tsv"))
+    return "d.tsv"
+
+
+def test_pair_refuses_an_id_that_is_a_path(path_ids):
+    for ids, bad in ((["g/1", "g2"], "g/1"), (["g2", ".."], "..")):
+        code, _, err = run(["pair", *ids, "--input", path_ids, "--min-part", "2"])
+        assert code == 1
+        assert f"series id {bad!r} cannot be part of a file name" in err
+    assert os.listdir(".") == ["d.tsv"]
+
+
+def test_clouds_refuses_an_id_that_is_a_path_only_for_its_file_name(path_ids):
+    code, _, err = run(["clouds", "g/1", "g2", "--input", path_ids, "--min-part", "2"])
+    assert code == 1
+    assert "series id 'g/1' cannot be part of a file name" in err
+    assert os.listdir(".") == ["d.tsv"]
+    # with --output the ids name nothing
+    code, _, err = run(["clouds", "g/1", "g2", "--input", path_ids, "--min-part", "2",
+                        "--output", "clouds.txt"])
+    assert code == 0, err
+    assert len(Path("clouds.txt").read_text().splitlines()) == 1 + 13
+
+
+def test_emit_distribution_refuses_an_id_that_is_a_path_before_the_run(path_ids):
+    command = ["all-pairs", "--input", path_ids, "--min-part", "2", "--threads", "1",
+               "--output", "ap.tsv"]
+    code, out, err = run(command + ["--emit-distribution"])
+    assert code == 1
+    assert "series id 'g/1' cannot be part of a file name" in err
+    assert out == ""
+    assert os.listdir(".") == ["d.tsv"]
+    # without distribution files the ids name nothing
+    code, _, err = run(command)
+    assert code == 0, err
+    assert len(Path("ap.tsv").read_text().splitlines()) == 1 + 3
 
 
 # ------------------------------------------------------------------ synth
