@@ -3,9 +3,11 @@
 Pearson, Spearman (Pearson over average ranks), and the distance
 correlation of Szekely, Rizzo and Bakirov with the biased double-centered
 estimator.  All take equal-length 1-D arrays or TimeSeries values and
-return plain floats.  Pearson is the one-part composition's r_c, so it
-is None (Undefined) under the kernel's zero floor and clamps as the
-kernel does, and so does Spearman.  Distance correlation returns 0.0
+return plain floats.  Pearson is the scan kernel's r_c at the one-part
+composition (``engine.scan`` at m = n), the number every scan and batch
+run reports for the pair, so it is None (Undefined) exactly where the
+kernel's zero flush says so and clamps with the kernel's one clamp; so
+does Spearman, which is Pearson on ranks.  Distance correlation returns 0.0
 when either distance variance vanishes, its usual convention.
 """
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corr import comp_correlation
+from .compositions import CompositionSpec
+from .engine import scan
 from .segments import TimeSeries
 
 
@@ -28,9 +31,11 @@ def _check_pair(x, y) -> tuple[TimeSeries, TimeSeries]:
 
 
 def pearson(x, y) -> float | None:
-    """Plain product-moment correlation; None if either input is constant."""
+    """Plain product-moment correlation; None if either input is constant.
+
+    A scan at m = n, whose one composition is the whole series."""
     a, b = _check_pair(x, y)
-    return comp_correlation(a, b, (a.n,))
+    return scan(a, b, CompositionSpec(a.n, a.n)).pearson
 
 
 def spearman(x, y) -> float | None:

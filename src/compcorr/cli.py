@@ -42,7 +42,6 @@ from .engine import (
     parse_filter,
     render_fixed,
     run_all_pairs,
-    run_pair,
     run_versus_time,
     scan,
 )

@@ -13,7 +13,10 @@ its own right (rendered as None here, NA in files), never an error.
 
 The functions below are the direct two-pass form of the definitions, one
 composition at a time; they are the reference the tests hold the scan
-kernel to.  ``engine.scan`` evaluates r_c over every composition for a
+kernel to, and no package output comes from them (``baselines.pearson``
+is the kernel's one-part composition, which sums in another order and
+may differ from ``comp_correlation(a, b, (n,))`` in the last bits).
+``engine.scan`` evaluates r_c over every composition for a
 given minimum part length, tracking the extremes (HCC and LCC, with the
 earliest attaining composition in canonical order as BCC and WCC) and
 optionally the whole distribution, and returns the :class:`ScanResult`

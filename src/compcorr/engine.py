@@ -74,7 +74,7 @@ from .segments import (
 )
 
 CHUNK_PAIRS = 8192          # fixed chunk width in pair-index space
-_CELL_BUDGET = 4_194_304    # max cells of a (compositions x pairs) intermediate
+_CELL_BUDGET = 4_194_304    # max cells of a batch's (compositions x columns) product
 _VAR_SUM_BUDGET = 25_000_000  # max cells of the per-series variance-sum table
 
 TIME_ID = "time"
@@ -122,9 +122,10 @@ class FilterClause:
             raise ValueError(f"filter threshold {self.value} outside [-1, 1]")
 
 
-_CLAUSE_RE = re.compile(
-    r"(hcc|lcc|pearson|abs\(pearson\))\s*(<=|>=|<|>)\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
-)
+# the grammar of FilterClause: its fields and operators, the longest operator first
+_CLAUSE_RE = re.compile(r"({})\s*({})\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)".format(
+    "|".join(map(re.escape, _FILTER_FIELDS)),
+    "|".join(map(re.escape, sorted(_FILTER_OPS, key=len, reverse=True)))))
 
 
 def parse_filter(text: str) -> tuple[FilterClause, ...]:
@@ -457,7 +458,13 @@ class _Ctx:
         self.ncomp = count_compositions(self.spec)
         self.blocks = _blocks.blocks_for(n, m)
         self.batches = _blocks.batches(self.blocks)
-        self.j_step = max(1, _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS))
+        # a row's variance sums recur in every pair it takes part in; with
+        # two rows there is one pair and nothing to reuse
+        self.keep_var_sums = S > 2 and S * self.ncomp <= _VAR_SUM_BUDGET
+        # a batch's product is J columns wide with the variance sums kept,
+        # else 2J + 1: row i's self sums, the J rows' and the J cross sums
+        cells = _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS)
+        self.j_step = max(1, cells if self.keep_var_sums else (cells - 1) // 2)
         self.var_sums = None
         self.ids = tuple(ids)
         self.parts = _Parts(self.spec)
@@ -474,9 +481,7 @@ class _Ctx:
         self.steps = series_segment_sums(X)
         self.css, self.zmask = series_segment_css(X, self.m, self.steps)
         self.scratch = _blocks.Scratch()  # span-sized buffers, reused span to span
-        # a row's variance sums recur in every pair it takes part in; with
-        # two rows there is one pair and nothing to reuse
-        if self.S > 2 and self.S * self.ncomp <= _VAR_SUM_BUDGET:
+        if self.keep_var_sums:
             self.var_sums = np.empty((self.ncomp, self.S))
             for blk in self.blocks:
                 comps = slice(blk.offset, blk.offset + blk.count)

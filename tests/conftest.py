@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from compcorr import _blocks, engine
+from compcorr.compositions import CompositionSpec, count_compositions
 from compcorr.datasets import Dataset, write_dataset
 from compcorr.segments import TimeSeries
 
@@ -40,6 +41,22 @@ def block_rows():
     cut(default)
     yield cut
     cut(default)
+
+
+@pytest.fixture()
+def no_var_sums(monkeypatch):
+    """``no_var_sums(X, m)`` sends runs on the rows ``X`` at minimum part
+    ``m`` down the kernel's path without the variance-sum table, in spans
+    of three columns: each batch then multiplies self and cross sums in one
+    product, and counts Undefined from its NaNs."""
+    def narrow(X, m: int) -> None:
+        monkeypatch.setattr(engine, "_VAR_SUM_BUDGET", 0)
+        rows = min(count_compositions(CompositionSpec(X.shape[1], m)), _blocks.BLOCK_ROWS)
+        monkeypatch.setattr(engine, "_CELL_BUDGET", 7 * rows)  # 2J + 1 = 7 columns
+        ctx = engine._Ctx(X, m)
+        assert not ctx.keep_var_sums and ctx.j_step == 3
+
+    return narrow
 
 
 @pytest.fixture()

@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 import compcorr
 from compcorr.baselines import BaselineReport, distance_correlation, pearson, spearman
+from compcorr.compositions import CompositionSpec
 from compcorr.corr import comp_correlation
+from compcorr.datasets import Dataset
+from compcorr.engine import JobConfig, run_pair_list, scan
 from compcorr.segments import TimeSeries
 
 
@@ -65,8 +69,34 @@ def test_pearson_is_the_one_part_composition_under_an_offset():
     y = x + 0.5 * rng.normal(size=23)
     a, b = series("a", x + 1e6), series("b", y + 1e6)
     r = pearson(a, b)
-    assert r is not None and r == comp_correlation(a, b, (23,))
+    assert r is not None
+    for m in (2, 4):
+        assert r == scan(a, b, CompositionSpec(23, m)).pearson
+    # the two-pass reference sums in another order: 3 ulps apart on this pair
+    assert r == pytest.approx(comp_correlation(a, b, (23,)), abs=1e-15)
     assert r == pytest.approx(pearson(x, y), abs=1e-9)
+
+
+def test_pearson_and_spearman_are_the_kernels_bits():
+    """On random pairs at several lengths, scales and offsets, pearson is
+    the pearson of every scan and batch run of the pair, bit for bit."""
+    rng = np.random.default_rng(17)
+    by_n = {}
+    for k in range(200):
+        n = int(rng.integers(8, 30))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        offset = float(rng.choice([0.0, 1e3, 1e6]))
+        x = rng.normal(size=n)
+        y = 0.6 * x + rng.normal(size=n)
+        a, b = series(f"a{k}", x * scale + offset), series(f"b{k}", y * scale + offset)
+        r = pearson(a, b)
+        assert r == scan(a, b, CompositionSpec(n, 4)).pearson
+        assert spearman(a, b) == pearson(rankdata(a.values), rankdata(b.values))
+        by_n.setdefault(n, {})[a.id, b.id] = (a, b, r)
+    for pairs in by_n.values():
+        ds = Dataset(series=tuple(s for a, b, _ in pairs.values() for s in (a, b)))
+        records = run_pair_list(ds, list(pairs), JobConfig(m=4))
+        assert [rec.pearson for rec in records] == [r for _, _, r in pairs.values()]
 
 
 # --------------------------------------------------------------- spearman

@@ -178,6 +178,14 @@ def test_block_geometry_changes_no_bit(block_rows, step_pair):
     test_kernel_clamps_affine_copies_to_unit_correlation()
 
 
+def test_span_width_keeps_the_batch_product_within_the_cell_budget():
+    # 200 rows at n=31, m=2 keep no variance-sum table, so each batch's one
+    # product holds row i's self sums, the span's J rows' and J cross sums
+    ctx = engine._Ctx(np.random.default_rng(31).normal(size=(200, 31)), 2)
+    assert 200 * ctx.ncomp > engine._VAR_SUM_BUDGET
+    assert min(ctx.ncomp, _blocks.BLOCK_ROWS) * (2 * ctx.j_step + 1) <= engine._CELL_BUDGET
+
+
 def test_in_process_runs_release_their_context():
     ds = toy_dataset(S=5)
     collect(ds, JobConfig(m=4))
@@ -215,9 +223,11 @@ def test_all_pairs_constant_series_yields_undefined_record():
     assert "NA" in record_line(r)
 
 
-def test_undefined_counts_are_the_brute_force_count(monkeypatch, pool_starts):
-    """Each run's Undefined count, taken from the rows' zero-variance counts,
-    is the number of compositions the naive oracle calls Undefined."""
+@pytest.mark.parametrize("narrow", [False, True], ids=["var-sums", "no-var-sums"])
+def test_undefined_counts_are_the_brute_force_count(monkeypatch, narrow, pool_starts, no_var_sums):
+    """Each run's Undefined count, taken from the rows' zero-variance counts
+    or, without them, from the kernel's NaNs, is the number of compositions
+    the naive oracle calls Undefined."""
     monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)  # several chunks, so 2 workers run a pool
     summaries = []
     run_chunks = engine._run_chunks
@@ -241,6 +251,8 @@ def test_undefined_counts_are_the_brute_force_count(monkeypatch, pool_starts):
     )))
     time = TimeSeries("time", t)
     comps = list(enumerate_compositions(CompositionSpec(n, m)))
+    if narrow:
+        no_var_sums(ds.matrix, m)
 
     def brute(x, y):
         return sum(comp_correlation(x, y, parts) is None for parts in comps)
@@ -322,6 +334,11 @@ def test_parse_filter_grammar():
     )
     assert parse_filter("lcc < -0.5") == (FilterClause("lcc", "<", -0.5),)
     assert parse_filter("pearson >= 0") == (FilterClause("pearson", ">=", 0.0),)
+    # every field with every operator, with and without spaces
+    for field in engine._FILTER_FIELDS:
+        for op in engine._FILTER_OPS:
+            want = (FilterClause(field, op, -0.25),)
+            assert parse_filter(f"{field}{op}-0.25") == parse_filter(f"{field} {op} -.25") == want
 
 
 def test_parse_filter_rejects_garbage():
@@ -645,11 +662,18 @@ def as_tuple(r):
     return (r.hcc, r.lcc, r.pearson, r.bcc, r.wcc)
 
 
-@pytest.mark.parametrize("n, m, seed", [(23, 4, 5), (13, 2, 6)])
-def test_every_entry_point_gives_the_same_bits(monkeypatch, n, m, seed, pool_starts):
+@pytest.mark.parametrize("n, m, seed, narrow", [
+    pytest.param(23, 4, 5, False, id="23-4-5"),
+    pytest.param(13, 2, 6, False, id="13-2-6"),
+    pytest.param(13, 2, 6, True, id="13-2-6-no-var-sums"),
+])
+def test_every_entry_point_gives_the_same_bits(monkeypatch, n, m, seed, narrow, pool_starts,
+                                               no_var_sums):
     # several chunks for every batch run (16 series), so 2 workers run a pool
     monkeypatch.setattr(engine, "CHUNK_PAIRS", 8)
     ds = adversarial_dataset(n, seed)
+    if narrow:
+        no_var_sums(ds.matrix, m)
     ids = ds.ids()
     pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
     spec = CompositionSpec(n, m)
