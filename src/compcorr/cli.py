@@ -9,9 +9,10 @@ clouds and record tables are rendered in bulk, numbers by
 and ``format_composition`` write them.  ``pair``, ``clouds`` and
 ``all-pairs --emit-distribution`` stream their one-pair files: the scan
 hands each batch of compositions (``_blocks.BLOCK_ROWS`` at most) to the
-file's writer, which renders and writes it BLOCK_LINES lines at a time,
-so no array holds a value per composition.  Series ids are checked
-before they go into a file name.
+file's writer, which renders and writes it BLOCK_LINES lines at a time
+(a distribution file's in place, into one line matrix), so no array
+holds a value per composition.  Series ids are checked before they go
+into a file name.
 Exit status is 0 only when the requested computation completed; aborted
 runs leave their partial output renamed with a .partial suffix.
 """
@@ -28,7 +29,6 @@ from pathlib import Path
 
 from .baselines import pearson
 from .compositions import CompositionSpec, count_compositions
-from ._blocks import Scratch
 from .corr import ScanOptions
 from .datasets import DEFAULT_RANGES, FUNCTIONS, Dataset, SynthSpec, load_dataset, synth_dataset, write_dataset
 from .engine import (
@@ -36,9 +36,12 @@ from .engine import (
     RECORD_HEADER,
     byte_rows,
     composition_labels,
+    fixed_width,
     format_composition,
     format_number,
     join_rows,
+    label_width,
+    line_matrix,
     parse_filter,
     render_fixed,
     run_all_pairs,
@@ -50,9 +53,9 @@ from .segments import ConsistencyError
 PROGRESS_EVERY = 10_000
 # Most lines per render and write of a distribution or clouds file: the
 # writer cuts each kernel batch into slices of at most this many lines.
-# A slice's temporaries, about 140 bytes a line, are freed after its
-# write; rendering whole 16,384-row batches at once raised the peak RSS
-# of an n=31 pair by 2.3 MB.
+# A distribution file keeps a line matrix of this many rows (184 KB at
+# n=31); a slice's text and temporaries, about 90 bytes a line, are freed
+# after its write.  Whole 16,384-row batches raised peak RSS by 2.3 MB.
 BLOCK_LINES = 4096
 
 
@@ -165,23 +168,21 @@ def _write_lines(path: Path, header: bytes, spec: CompositionSpec, scan, render)
 
     ``scan(sink)`` runs the scan with a sink that writes each batch as it
     arrives, straight from the kernel's arrays, in slices of at most
-    BLOCK_LINES lines: ``render(first, *columns)`` gives a slice's byte
-    columns, ``first`` being its first canonical composition index, and
-    :func:`join_rows` joins them in buffers reused slice to slice.  So
-    memory is one batch and one slice, whatever n.  The scan's result is
-    returned.  A scan that fails, or hands over other than every
-    composition, leaves a .partial file.
+    BLOCK_LINES lines: ``render(first, *columns)`` gives a slice's text,
+    ``first`` being its first canonical composition index.  So memory is
+    one batch and one slice, whatever n.  The scan's result is returned.
+    A scan that fails, or hands over other than every composition, leaves
+    a .partial file.
     """
     with _guarded_output(path, "wb") as out:
         out.write(header)
-        scratch, done = Scratch(), 0
+        done = 0
 
         def sink(offset: int, *columns) -> None:
             nonlocal done
             count = len(columns[0])
             for at in range(0, count, BLOCK_LINES):
-                rows = [col[at:at + BLOCK_LINES] for col in columns]
-                out.write(join_rows(render(offset + at, *rows), scratch))
+                out.write(render(offset + at, *(col[at:at + BLOCK_LINES] for col in columns)))
             done += count
 
         result = scan(sink)
@@ -194,13 +195,18 @@ def _write_lines(path: Path, header: bytes, spec: CompositionSpec, scan, render)
 def _write_distribution(path: Path, spec: CompositionSpec, precision: int, scan):
     """Write one ``composition<TAB>r_c`` line per composition, canonical order.
 
-    ``scan`` as for :func:`_write_lines`.  Each line joins the label from
-    :func:`composition_labels` and the value from :func:`render_fixed`,
-    and reads as format_composition and format_number render them.
+    ``scan`` as for :func:`_write_lines`.  Each slice's labels and values
+    are rendered into one line matrix, its tab and newline written once,
+    and read as format_composition and format_number render them.
     """
+    lines, (label, value) = line_matrix(
+        [label_width(spec), b"\t", fixed_width(precision), b"\n"], BLOCK_LINES)
+
     def render(first, values):
-        return [*composition_labels(spec, range(first, first + len(values))), b"\t",
-                render_fixed(values, precision), b"\n"]
+        count = len(values)
+        composition_labels(spec, range(first, first + count), label[:count])
+        render_fixed(values, precision, value[:count])
+        return join_rows(lines[:count])
 
     return _write_lines(path, b"composition\tr_c\n", spec, scan, render)
 
@@ -213,7 +219,10 @@ def _write_clouds(path: Path, spec: CompositionSpec, precision: int, scan):
 
     def render(first, values, *sums):
         va, vb, cov = (byte_rows([format(v, spec_g) for v in col.tolist()]) for col in sums)
-        return [render_fixed(values, precision), b"\t", va, b"\t", vb, b"\t", cov, b"\n"]
+        lines, (value,) = line_matrix(
+            [fixed_width(precision), b"\t", va, b"\t", vb, b"\t", cov, b"\n"], len(values))
+        render_fixed(values, precision, value)
+        return join_rows(lines)
 
     return _write_lines(path, b"r_c\tvar_a\tvar_b\tcov\n", spec, scan, render)
 

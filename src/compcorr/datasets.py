@@ -9,7 +9,7 @@ labels for the observation columns.
 
 Rows with missing or non-numeric cells are excluded with a warning and
 show up in the load report; structural problems (ragged rows, duplicate
-ids, nothing loadable) are errors.
+ids, an id holding a tab, NUL or line break, nothing loadable) are errors.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ class LoadReport:
 
 @dataclass(eq=False)
 class Dataset:
-    """Named series, all the same length, ids unique."""
+    """Named series, all the same length, ids unique and free of tabs, NULs and line breaks."""
 
     series: list[TimeSeries]
     time_labels: list[float] | None = None
@@ -75,6 +75,9 @@ class Dataset:
         seen: dict[str, int] = {}
         for s in self.series:
             seen[s.id] = seen.get(s.id, 0) + 1
+            if any(c in s.id for c in "\t\0\r\n"):
+                raise ValueError(f"series id {s.id!r} holds a tab, NUL or line break, "
+                                 "which no tab-separated output can carry")
         dups = sorted(sid for sid, k in seen.items() if k > 1)
         if dups:
             raise ValueError(f"duplicate series ids: {dups}")

@@ -36,11 +36,11 @@ lcc, pearson, abs(pearson)) before reaching the sink; Undefined never
 satisfies a comparison.  A chunk's kept pairs travel as columns (row
 indices, hcc, pearson, lcc, and BCC and WCC as canonical composition
 indices).  Given a precision, the worker also renders them to text in
-bulk, so the parent only writes: :func:`render_fixed` turns each number
-column into fixed-point digits in a byte matrix, and
-:func:`composition_labels` reads BCC and WCC labels out of the one
-composition-label table, which distribution files use too.  The table is
-cut like the kernel's blocks: a head per block, and the tail labels of
+bulk, so the parent only writes: into the fields of one byte matrix of
+lines (:func:`line_matrix`), :func:`render_fixed` writes fixed-point
+digits and :func:`composition_labels` BCC and WCC labels read out of the
+one composition-label table, which distribution files use too.  The table
+is cut like the kernel's blocks: a head per block, and the tail labels of
 every remainder the blocks' tries hold.
 ``format_number``, ``format_composition`` and ``record_line`` remain the
 per-value reference that the bulk text matches byte for byte.  The batch
@@ -202,9 +202,21 @@ def record_line(rec: PairRecord, precision: int = 6) -> str:
 # Highest precision the digit path serves: |x| < 10 keeps 10^p·|x| below
 # 10^16, well inside int64.
 _FIXED_DIGITS = 15
+# the four decimal digits of 0..9999 in ASCII, each row one word
+_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1).reshape(-1, 4)
 
 
-def render_fixed(values: np.ndarray, precision: int) -> np.ndarray:
+def fixed_width(precision: int) -> int:
+    """Bytes :func:`render_fixed` takes for a value rounding below 10 in magnitude, as r does."""
+    return precision + 2 + (precision > 0)
+
+
+def _words(field: np.ndarray) -> np.ndarray:
+    """A (rows, k) uint8 field as one k-byte word per row, written in one pass."""
+    return field.view(f"V{field.shape[1]}")[:, 0]
+
+
+def render_fixed(values: np.ndarray, precision: int, out: np.ndarray | None = None) -> np.ndarray:
     """Render a float vector as rows of a NUL-padded uint8 matrix.
 
     Row k, without its NULs, reads as ``format_number(values[k], precision)``
@@ -214,35 +226,51 @@ def render_fixed(values: np.ndarray, precision: int) -> np.ndarray:
     every value whose scaled fraction lies so near one half that float
     scaling might round it otherwise than Python's exact decimal rounding.
     The band, max(10^p·|x|, 1)·2^-52, is twice the largest error of the
-    scaling, one correctly rounded multiplication.
+    scaling, one correctly rounded multiplication.  Given ``out``, a field
+    of a line matrix wide enough for every row, each of its bytes is written.
     """
     x = np.asarray(values, dtype=np.float64)
     p = precision
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.abs(x) * float(10 ** min(p, _FIXED_DIGITS))
-        fast = ((np.abs(x) < 10) & (p <= _FIXED_DIGITS)
-                & (np.abs(scaled - np.floor(scaled) - 0.5) > np.maximum(scaled, 1.0) * 2.0 ** -52))
-    q = np.rint(np.where(fast, scaled, 0.0)).astype(np.int64)
-    fast &= q < 10 ** (min(p, _FIXED_DIGITS) + 1)  # one integer digit
-    digits = np.empty((p + 1, len(x)), np.uint8)
-    for row in digits[::-1]:
-        rest = q // 10
-        row[:] = q - rest * 10 + ord("0")
-        q = rest
-    undefined = np.isnan(x)
-    slow = ~(fast | undefined)
-    spec = f".{p}f"
-    rows = byte_rows([format(v, spec) for v in x[slow].tolist()])
-    mat = np.zeros((len(x), max(p + 2 + (p > 0), rows.shape[1])), np.uint8)
-    mat[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    mat[:, 1] = digits[0]
-    if p:
-        mat[:, 2] = ord(".")
-        mat[:, 3:p + 3] = digits[1:].T
-    mat[~fast] = 0
-    mat[undefined, :2] = (ord("N"), ord("A"))
-    mat[slow, :rows.shape[1]] = rows
-    return mat
+    fast = np.zeros(len(x), bool)
+    if p <= _FIXED_DIGITS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ax = np.abs(x)
+            scaled = ax * float(10 ** p)
+            fast = (ax < 10) & (np.abs(scaled - np.floor(scaled) - 0.5) > np.maximum(scaled, 1.0) * 2.0 ** -52)
+        q = np.rint(np.where(fast, scaled, 0.0)).astype(np.int64)
+        fast &= q < 10 ** (p + 1)  # one integer digit
+    bad = np.flatnonzero(~fast)
+    undefined = np.isnan(x[bad])
+    slow = bad[~undefined]
+    rows = byte_rows([format(v, f".{p}f") for v in x[slow].tolist()])
+    width = fixed_width(p)
+    if out is None:
+        out = np.empty((len(x), max(width, rows.shape[1])), np.uint8)
+    elif rows.shape[1] > out.shape[1]:
+        raise ValueError(f"a value takes {rows.shape[1]} bytes, its field {out.shape[1]}")
+    if p <= _FIXED_DIGITS:
+        # sign; integer digit and point in one word; the decimals four at
+        # a time from the right, each a word of _DIGITS
+        np.multiply(np.signbit(x), np.uint8(ord("-")), out=out[:, 0])
+        whole = q // 10 ** p
+        q -= whole * 10 ** p
+        if p:
+            out[:, 1:3].view("<u2")[:, 0] = whole + (ord("0") | ord(".") << 8)
+        else:
+            out[:, 1] = whole + ord("0")
+        end = width
+        while end > 7:
+            rest = q // 10_000
+            _words(out[:, end - 4:end])[:] = _words(_DIGITS).take(q - rest * 10_000)
+            q, end = rest, end - 4
+        if p:
+            _words(out[:, 3:end])[:] = _words(_DIGITS[:, 7 - end:])[q]
+        out[:, width:] = 0
+    if len(bad):
+        out[bad] = 0
+        out[bad[undefined], :2] = (ord("N"), ord("A"))
+        out[slow, :rows.shape[1]] = rows
+    return out
 
 
 def byte_rows(strings: list[str]) -> np.ndarray:
@@ -256,21 +284,29 @@ def byte_rows(strings: list[str]) -> np.ndarray:
     return table.view(np.uint8).reshape(len(table), table.itemsize)
 
 
-def join_rows(columns, scratch: _blocks.Scratch | None = None) -> bytes:
-    """Concatenate each row across NUL-padded uint8 columns, padding dropped.
+def line_matrix(layout, rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A (rows, width) uint8 matrix of lines, laid out left to right by ``layout``.
 
-    A ``bytes`` column is a constant repeated on every row.  Returns the
-    rows back to back.  The padded matrix comes from ``scratch`` when given.
+    Each item is a ``bytes`` constant, written into every row; a (rows, w)
+    byte matrix, copied in; or the width of a field, whose view is returned
+    for its writer to fill, every byte of it.
     """
-    mats = [np.frombuffer(col, np.uint8)[None, :] if isinstance(col, bytes) else col
-            for col in columns]
-    shape = (max(len(mat) for mat in mats), sum(mat.shape[1] for mat in mats))
-    out = np.empty(shape, np.uint8) if scratch is None else scratch("join", shape, np.uint8)
-    at = 0
-    for mat in mats:
-        out[:, at:at + mat.shape[1]] = mat
-        at += mat.shape[1]
-    return out.tobytes().translate(None, b"\0")
+    items = [np.frombuffer(item, np.uint8)[None] if isinstance(item, bytes) else item
+             for item in layout]
+    widths = [item if isinstance(item, int) else item.shape[1] for item in items]
+    lines, fields, at = np.empty((rows, sum(widths)), np.uint8), [], 0
+    for item, w in zip(items, widths):
+        if isinstance(item, int):
+            fields.append(lines[:, at:at + w])
+        else:
+            _words(lines[:, at:at + w])[:] = _words(item)
+        at += w
+    return lines, fields
+
+
+def join_rows(lines: np.ndarray) -> bytes:
+    """The rows of a NUL-padded uint8 matrix back to back, padding dropped."""
+    return lines.tobytes().translate(None, b"\0")
 
 
 class _Parts(dict):
@@ -329,28 +365,42 @@ def _label_table(n: int, m: int):
     return heads, tails, offsets, ends
 
 
-def composition_labels(spec: CompositionSpec, index) -> tuple[np.ndarray, np.ndarray]:
-    """Labels of canonical composition indices, as two NUL-padded byte columns.
+def label_width(spec: CompositionSpec) -> int:
+    """Bytes :func:`composition_labels` writes per label: a head and a tail."""
+    heads, tails, _, _ = _label_table(spec.n, spec.m)
+    return heads.shape[1] + tails.shape[1]
 
-    The columns are each label's block head and its tail with the ``]``.
-    Joined by :func:`join_rows`, row k reads as ``format_composition``
-    writes composition ``index[k]``, and ``NA`` where that index is -1.
-    A non-empty ``range`` of indices, as a distribution file asks for,
-    finds its blocks from its two ends alone.
+
+def composition_labels(spec: CompositionSpec, index, out: np.ndarray | None = None) -> np.ndarray:
+    """Labels of canonical composition indices, as rows of a NUL-padded byte matrix.
+
+    Row k, its block's head and then its tail with the ``]``, reads
+    without its NULs as ``format_composition`` writes composition
+    ``index[k]``, and ``NA`` where that index is -1.  Given ``out``, a
+    field of a line matrix, each of its bytes is written.  A ``range`` of
+    indices, as a distribution file asks for, takes one head row and one
+    slice of tails per block.
     """
     heads, tails, offsets, ends = _label_table(spec.n, spec.m)
+    if out is None:
+        out = np.empty((len(index), label_width(spec)), np.uint8)
+    head, tail = _words(out[:, :heads.shape[1]]), _words(out[:, heads.shape[1]:])
+    heads, tails = _words(heads), _words(tails)
     if isinstance(index, range):
-        first, last = np.searchsorted(ends, [index.start, index.stop - 1], side="right")
-        sizes = np.diff(ends[first:last] - index.start, prepend=0, append=len(index))
-        run = np.repeat(np.arange(first, last + 1), sizes)
-        tail = offsets[run]
-        tail += np.arange(index.start, index.stop)
-        return heads.take(run, axis=0), tails.take(tail, axis=0)
+        at, run = index.start, int(np.searchsorted(ends, index.start, side="right"))
+        while at < index.stop:
+            end = min(int(ends[run]), index.stop)
+            rows = slice(at - index.start, end - index.start)
+            head[rows] = heads[run]
+            tail[rows] = tails[offsets[run] + at:offsets[run] + end]
+            at, run = end, run + 1
+        return out
     index = np.asarray(index, dtype=np.int64)
     run = np.searchsorted(ends, index, side="right")
     none = index < 0
-    return (heads.take(np.where(none, -1, run), axis=0),
-            tails.take(np.where(none, -1, offsets[run] + index), axis=0))
+    head[:] = heads.take(np.where(none, -1, run))
+    tail[:] = tails.take(np.where(none, -1, offsets[run] + index))
+    return out
 
 
 class Records(Sequence):
@@ -396,14 +446,17 @@ class Records(Sequence):
         if not len(self):
             return ""
         a, b, hcc, pe, lcc, bi, wi = self.columns
-        ids = byte_rows(self.ids)
-        tab = b"\t"
-        return join_rows([
-            ids.take(a, axis=0), tab, ids.take(b, axis=0), tab, render_fixed(hcc, precision), tab,
-            render_fixed(pe, precision), tab, render_fixed(lcc, precision), tab,
-            *composition_labels(self.parts.spec, bi), tab,
-            *composition_labels(self.parts.spec, wi), b"\n",
-        ]).decode()
+        ids, spec, tab = byte_rows(self.ids), self.parts.spec, b"\t"
+        value, label = fixed_width(precision), label_width(spec)
+        lines, (id_a, id_b, *values, bcc, wcc) = line_matrix(
+            [ids.shape[1], tab, ids.shape[1], tab, value, tab, value, tab, value, tab,
+             label, tab, label, b"\n"], len(self))
+        _words(id_a)[:], _words(id_b)[:] = _words(ids).take(a), _words(ids).take(b)
+        for field, col in zip(values, (hcc, pe, lcc)):
+            render_fixed(col, precision, field)
+        composition_labels(spec, bi, bcc)
+        composition_labels(spec, wi, wcc)
+        return join_rows(lines).decode()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-import io
+import builtins
 import contextlib
+import io
 import multiprocessing
 import os
 import signal
@@ -14,7 +15,7 @@ import pytest
 
 from compcorr import _blocks, cli, engine
 from compcorr.cli import _default_workers, _guarded_output, _write_distribution, build_parser, main
-from compcorr.compositions import CompositionSpec
+from compcorr.compositions import CompositionSpec, composition_at
 from compcorr.corr import ScanOptions
 from compcorr.engine import scan
 from compcorr.datasets import Dataset, write_dataset
@@ -159,6 +160,40 @@ def test_distribution_writer_needs_values(tmp_path):
     with pytest.raises(ValueError, match="delivered 4 of 5"):
         _write_distribution(path, spec, 6, in_blocks(values[:4], [2]))
     assert not path.exists() and (tmp_path / "d.txt.partial").exists()
+
+
+@pytest.mark.parametrize("precision", [0, 6, 15, 17])
+def test_distribution_slices_leave_no_stale_bytes(tmp_path, monkeypatch, precision):
+    # two slices through the writer's one line matrix: at the rows where the
+    # first had digits and long labels, the second has NA, values that go
+    # through format, -0.0 and shorter labels, and it has fewer rows; where
+    # the first had NA, the second has digits
+    monkeypatch.setattr(cli, "BLOCK_LINES", 50)
+    spec = CompositionSpec(12, 2)  # 89 compositions: slices of 50 and 39 lines
+    rng = np.random.default_rng(12)
+    step = TimeSeries("step", np.repeat([0.3, -1.2, 0.7], [3, 6, 3]))
+    values = scan(step, TimeSeries("b", rng.normal(size=12)), spec,
+                  ScanOptions(distribution=True)).values
+    assert np.isnan(values[[34, 39, 52]]).all() and not np.isnan(values[[2, 84]]).any()
+    values[50:55] = -0.0, -1e-12, np.nan, -0.0, -1e-12
+    # decimal halfway points at precision 15: format renders them
+    values[60:70] = (rng.integers(0, 10 ** 15, 10) + 0.5) / 10.0 ** 15
+    fallbacks = []
+
+    def counting(value, spec):
+        fallbacks.append(value)
+        return builtins.format(value, spec)
+
+    monkeypatch.setattr(engine, "format", counting, raising=False)
+    path = tmp_path / "d.txt"
+    assert _write_distribution(path, spec, precision, in_blocks(values, [50])) == "done"
+    if precision >= 15:
+        assert set(values[60:70].tolist()) <= set(fallbacks)
+    labels = [format_composition(composition_at(spec, k)) for k in range(89)]
+    assert any(len(labels[50 + k]) < len(labels[k]) for k in range(39))
+    want = [f"{label}\t{format_number(None if v != v else v, precision)}"
+            for label, v in zip(labels, values.tolist())]
+    assert path.read_text().splitlines() == ["composition\tr_c"] + want
 
 
 @pytest.fixture()
@@ -322,6 +357,25 @@ def test_emit_distribution_refuses_an_id_that_is_a_path_before_the_run(path_ids)
     code, _, err = run(command)
     assert code == 0, err
     assert len(Path("ap.tsv").read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("name, bad, delimiter, command", [
+    ("tab.csv", "a\tb", ",", ["all-pairs", "--threads", "1"]),
+    ("nul.tsv", "a\0b", "\t", ["all-pairs", "--threads", "1"]),
+    ("nul.tsv", "a\0b", "\t", ["time-corr", "--threads", "1"]),
+    ("nul.tsv", "a\0b", "\t", ["pair", "a\0b", "g2"]),
+], ids=["tab-all-pairs", "nul-all-pairs", "nul-time-corr", "nul-pair"])
+def test_an_id_no_table_can_carry_is_refused_before_the_scan(in_tmp, name, bad, delimiter, command):
+    # a comma-delimited file keeps a tab inside an id; an all-pairs table
+    # would then have 8 fields under a 7-field header
+    rng = np.random.default_rng(9)
+    Path(name).write_text("".join(delimiter.join([sid, *map(repr, rng.normal(size=8).tolist())]) + "\n"
+                                  for sid in (bad, "g2", "g3")))
+    code, out, err = run(command + ["--input", name, "--min-part", "2", "--output", "out.tsv"])
+    assert code == 1
+    assert f"series id {bad!r} holds a tab, NUL or line break" in err
+    assert out == ""
+    assert os.listdir(".") == [name]
 
 
 # ------------------------------------------------------------------ synth

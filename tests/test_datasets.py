@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -208,3 +209,10 @@ def test_synth_validation():
         SynthSpec("square", 1.0, 1.0, 30)  # empty range
     with pytest.raises(ValueError):
         SynthSpec("square", 0.0, 1.0, 0)  # no pieces
+
+
+@pytest.mark.parametrize("sid", ["a\tb", "a\0", "a\rb", "a\n"], ids=["tab", "nul", "cr", "lf"])
+def test_dataset_refuses_an_id_that_breaks_a_tab_separated_line(sid):
+    series = (TimeSeries(sid, np.arange(4.0)), TimeSeries("b", np.arange(4.0) ** 2))
+    with pytest.raises(ValueError, match=f"series id {re.escape(repr(sid))} holds a tab, NUL or line break"):
+        Dataset(series=series)

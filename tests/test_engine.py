@@ -24,7 +24,6 @@ from compcorr.engine import (
     composition_labels,
     format_composition,
     format_number,
-    join_rows,
     parse_filter,
     record_line,
     render_fixed,
@@ -447,7 +446,7 @@ def test_composition_labels_match_format_composition(block_rows, n, m, rows):
     ncomp = count_compositions(spec)
 
     def labels(index):
-        return join_rows([*composition_labels(spec, index), b"\n"]).decode().splitlines()
+        return rendered(composition_labels(spec, index))
 
     want = ["NA"] + [format_composition(composition_at(spec, k)) for k in range(ncomp)]
     assert labels(np.arange(-1, ncomp)) == want
