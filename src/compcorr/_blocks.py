@@ -28,8 +28,9 @@ the blocks.  Neither the blocks nor the batches change a bit of any
 value: each is a left-to-right sum whatever block it falls in.  The
 composition labels follow the same cut, so BLOCK_ROWS is the one place
 the canonical order is cut into blocks and batches.  A one-pair file's
-writer (``cli._write_lines``) takes each batch as it comes and only
-slices it, at most ``cli.BLOCK_LINES`` lines per render and write.
+writer (``cli._write_lines``) splits the batches into parts, one a
+process, and takes each batch as it comes and only slices it, at most
+``cli.BLOCK_LINES`` lines per render and write.
 """
 from __future__ import annotations
 

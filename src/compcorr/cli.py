@@ -11,8 +11,11 @@ and ``format_composition`` write them.  ``pair``, ``clouds`` and
 hands each batch of compositions (``_blocks.BLOCK_ROWS`` at most) to the
 file's writer, which renders and writes it BLOCK_LINES lines at a time
 (a distribution file's in place, into one line matrix), so no array
-holds a value per composition.  Series ids are checked before they go
-into a file name.
+holds a value per composition.  The scan is cut into parts at batch
+boundaries, one a CPU the process may use (``--threads`` workers for
+``--emit-distribution``), each part but the first written by a forked
+child into a temporary file that is appended in order.  Series ids are
+checked before they go into a file name.
 Exit status is 0 only when the requested computation completed; aborted
 runs leave their partial output renamed with a .partial suffix.
 """
@@ -20,7 +23,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import sys
+import tempfile
 import time
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
@@ -33,6 +39,7 @@ from .corr import ScanOptions
 from .datasets import DEFAULT_RANGES, FUNCTIONS, Dataset, SynthSpec, load_dataset, synth_dataset, write_dataset
 from .engine import (
     JobConfig,
+    PairScan,
     RECORD_HEADER,
     byte_rows,
     composition_labels,
@@ -43,10 +50,11 @@ from .engine import (
     label_width,
     line_matrix,
     parse_filter,
+    raise_pending_interrupt,
     render_fixed,
     run_all_pairs,
     run_versus_time,
-    scan,
+    sigint_held,
 )
 from .segments import ConsistencyError
 
@@ -57,6 +65,11 @@ PROGRESS_EVERY = 10_000
 # n=31); a slice's text and temporaries, about 90 bytes a line, are freed
 # after its write.  Whole 16,384-row batches raised peak RSS by 2.3 MB.
 BLOCK_LINES = 4096
+# Fewest kernel batches in a part of a one-pair file (_write_lines), which
+# costs a fork, a temporary file and a copy.  In-process on 2 vCPUs at m=2
+# (medians of 15), 2 parts against 1 took 2.4 ms longer at n=26 (6 batches)
+# and 2.6 ms less at n=27 (9 batches), 15 ms less at n=28 (14 batches).
+PART_BATCHES = 4
 
 
 def _default_workers() -> int:
@@ -69,7 +82,7 @@ def _default_workers() -> int:
         if k < 1:
             raise SystemExit(f"COMP_CORR_THREADS={env!r} must be at least 1")
         return k
-    return os.cpu_count() or 1
+    return _cpus()
 
 
 @contextmanager
@@ -163,39 +176,163 @@ def _distribution_path(outdir: Path, dataset: str, id_a: str, id_b: str, spec: C
     return outdir / f"Output.{dataset}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt"
 
 
-def _write_lines(path: Path, header: bytes, spec: CompositionSpec, scan, render):
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps one,
+    so that a run under ``taskset`` or in a cpuset starts no more processes
+    than it may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _part_count(batches: int, processes: int) -> int:
+    """Parts of a one-pair file of ``batches`` kernel batches on at most
+    ``processes`` processes, each part PART_BATCHES batches at least.  One
+    where processes cannot be forked or files copied in the kernel."""
+    if not hasattr(os, "copy_file_range"):
+        return 1
+    return max(1, min(processes, batches // PART_BATCHES))
+
+
+def _write_lines(path: Path, header: bytes, spec: CompositionSpec, job, processes: int, render):
     """Write a one-pair scan's file: the header, then one line per composition.
 
-    ``scan(sink)`` runs the scan with a sink that writes each batch as it
-    arrives, straight from the kernel's arrays, in slices of at most
-    BLOCK_LINES lines: ``render(first, *columns)`` gives a slice's text,
-    ``first`` being its first canonical composition index.  So memory is
-    one batch and one slice, whatever n.  The scan's result is returned.
-    A scan that fails, or hands over other than every composition, leaves
-    a .partial file.
+    ``job`` is an ``engine.PairScan``.  Its batches are cut into
+    :func:`_part_count` parts (``job.cut``), contiguous runs of near-equal
+    size.  Part 0 runs here and writes into the file; every other part runs
+    in a forked child (:class:`_Part`), and its file is appended, in part
+    order, when it is done.  Each part hands its batches, as they arrive,
+    to a sink that writes them straight from the kernel's arrays in slices
+    of at most BLOCK_LINES lines: ``render(first, *columns)`` gives a
+    slice's text, ``first`` being its first canonical composition index.
+    So memory is one batch and one slice a process, whatever n.  The
+    parts' answers are folded by ``job.result``, which is returned.  A scan
+    that fails in any part, or hands over other than every composition,
+    leaves a .partial file of every line delivered before the failure.
     """
+    cuts = job.cut(_part_count(len(job.batches), processes))
     with _guarded_output(path, "wb") as out:
         out.write(header)
-        done = 0
-
-        def sink(offset: int, *columns) -> None:
-            nonlocal done
-            count = len(columns[0])
-            for at in range(0, count, BLOCK_LINES):
-                out.write(render(offset + at, *(col[at:at + BLOCK_LINES] for col in columns)))
-            done += count
-
-        result = scan(sink)
+        out.flush()
+        children = []
+        try:
+            if len(cuts) > 1:
+                # a Ctrl-C while a child starts would break into its at-fork
+                # hooks, or leave a child the parent does not know
+                with sigint_held():
+                    for batches in cuts[1:]:
+                        children.append(_Part(job, batches, render, path.parent))
+            answers = [_run_part(job, cuts[0], render, out)]
+            for child in children:
+                answers.append(child.join(out))
+        finally:
+            for child in children:
+                child.close()
+        done = sum(delivered for _, delivered in answers)
         total = count_compositions(spec)
         if done != total:
             raise ValueError(f"the scan delivered {done} of {total} compositions")
-    return result
+    return job.result([answer for answer, _ in answers])
 
 
-def _write_distribution(path: Path, spec: CompositionSpec, precision: int, scan):
+def _run_part(job, batches, render, out):
+    """Scan one part and write its lines to ``out``: its answer and line count."""
+    done = 0
+
+    def sink(offset: int, *columns) -> None:
+        nonlocal done
+        count = len(columns[0])
+        for at in range(0, count, BLOCK_LINES):
+            out.write(render(offset + at, *(col[at:at + BLOCK_LINES] for col in columns)))
+        done += count
+
+    return job.run(batches, sink), done
+
+
+class _Part:
+    """One part of a one-pair file, scanned in a forked child.
+
+    The child writes the part's lines, as part 0 does, into an unnamed
+    temporary file in the output's directory, opened before the fork, and
+    sends its answer, or the exception that ended it, back through a pipe.
+    It takes SIGINT's default action, as pool workers do: a Ctrl-C reaches
+    the parent too, which reports it.  It always leaves through
+    ``os._exit``, so it never flushes inherited buffers, runs exit handlers
+    or returns into the caller.
+    """
+
+    def __init__(self, job, batches, render, directory: Path):
+        self.span = f"compositions {batches[0][0]} to {batches[-1][1] - 1}"
+        self.file = tempfile.TemporaryFile(dir=directory)
+        self.pipe, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(write)
+            self.pid = None
+            self.close()
+            raise
+        if self.pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGINT])
+                os.close(self.pipe)
+                try:
+                    try:
+                        answer = _run_part(job, batches, render, self.file)
+                    finally:
+                        self.file.flush()
+                except BaseException as exc:
+                    answer = exc
+                try:
+                    data = pickle.dumps(answer)
+                except Exception:  # an exception that does not pickle
+                    data = pickle.dumps(ChildProcessError(f"{self.span}: {answer!r}"))
+                with open(write, "wb") as pipe:
+                    pipe.write(data)
+            finally:
+                os._exit(0)
+        os.close(write)
+
+    def join(self, out):
+        """Wait for the part and append its lines to ``out``: its answer, or
+        the exception that ended it, raised once its lines are appended."""
+        with open(self.pipe, "rb") as pipe:
+            self.pipe = None
+            data = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            if code == -signal.SIGINT:
+                raise KeyboardInterrupt  # a Ctrl-C, which this process gets too
+            raise_pending_interrupt()
+            raise ChildProcessError(f"the process scanning {self.span} ended without an answer: "
+                                    + (f"killed by signal {-code}" if code < 0 else f"exit status {code}"))
+        answer = pickle.loads(data)
+        out.flush()
+        offset = 0
+        while copied := os.copy_file_range(self.file.fileno(), out.fileno(), 1 << 30, offset):
+            offset += copied
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+    def close(self) -> None:
+        """End and reap the child if it still runs; free its pipe and file."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        if self.pipe is not None:
+            os.close(self.pipe)
+        self.file.close()
+
+
+def _write_distribution(path: Path, spec: CompositionSpec, precision: int, job, processes: int = 1):
     """Write one ``composition<TAB>r_c`` line per composition, canonical order.
 
-    ``scan`` as for :func:`_write_lines`.  Each slice's labels and values
+    ``job`` and ``processes`` as for :func:`_write_lines`.  Each slice's labels and values
     are rendered into one line matrix, its tab and newline written once,
     and read as format_composition and format_number render them.
     """
@@ -208,13 +345,13 @@ def _write_distribution(path: Path, spec: CompositionSpec, precision: int, scan)
         render_fixed(values, precision, value[:count])
         return join_rows(lines[:count])
 
-    return _write_lines(path, b"composition\tr_c\n", spec, scan, render)
+    return _write_lines(path, b"composition\tr_c\n", spec, job, processes, render)
 
 
-def _write_clouds(path: Path, spec: CompositionSpec, precision: int, scan):
+def _write_clouds(path: Path, spec: CompositionSpec, precision: int, job, processes: int = 1):
     """Write one ``r_c<TAB>var_a<TAB>var_b<TAB>cov`` line per composition,
     r_c as format_number writes it and the rest as ``%.{precision}g``;
-    ``scan`` as for :func:`_write_lines`."""
+    ``job`` and ``processes`` as for :func:`_write_lines`."""
     spec_g = f".{precision}g"
 
     def render(first, values, *sums):
@@ -224,7 +361,7 @@ def _write_clouds(path: Path, spec: CompositionSpec, precision: int, scan):
         render_fixed(values, precision, value)
         return join_rows(lines)
 
-    return _write_lines(path, b"r_c\tvar_a\tvar_b\tcov\n", spec, scan, render)
+    return _write_lines(path, b"r_c\tvar_a\tvar_b\tcov\n", spec, job, processes, render)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +392,7 @@ def _cmd_pair(args) -> int:
     outdir = Path(args.output) if args.output else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     dist_path = _distribution_path(outdir, ds.name, id_a, id_b, spec)
-    result = _write_distribution(dist_path, spec, args.precision,
-                                 lambda sink: scan(a, b, spec, sink=sink))
+    result = _write_distribution(dist_path, spec, args.precision, PairScan(a, b, spec), _cpus())
 
     p = args.precision
     print(f"pair {id_a} vs {id_b}: n={spec.n} m={spec.m} "
@@ -287,8 +423,8 @@ def _cmd_clouds(args) -> int:
     else:
         _check_file_ids((id_a, id_b))
         out = Path(f"Clouds.{ds.name}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt")
-    result = _write_clouds(out, spec, args.precision,
-                           lambda sink: scan(a, b, spec, ScanOptions(clouds=True), sink))
+    result = _write_clouds(out, spec, args.precision, PairScan(a, b, spec, ScanOptions(clouds=True)),
+                           _cpus())
     print(f"wrote {out}: {result.n_compositions} compositions "
           f"({result.n_undefined} undefined)")
     return 0
@@ -319,9 +455,8 @@ def _cmd_all_pairs(args) -> int:
     if args.emit_distribution:
         outdir = out.parent
         for id_a, id_b in kept:
-            a, b = ds.get(id_a), ds.get(id_b)
             _write_distribution(_distribution_path(outdir, ds.name, id_a, id_b, spec), spec, p,
-                                lambda sink: scan(a, b, spec, sink=sink))
+                                PairScan(ds.get(id_a), ds.get(id_b), spec), config.workers)
         print(f"wrote {len(kept)} distribution files to {outdir}")
     return 0
 

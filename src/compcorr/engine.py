@@ -20,12 +20,15 @@ pair.  A one-pair scan hands its per-composition rows (r_c, and the
 variance and covariance sums of a point cloud) to a sink batch by
 batch: ``ScanOptions`` keeps them as whole vectors for library callers,
 and the CLI's writers stream them to their files, so memory there is a
-batch, not a value per composition.
+batch, not a value per composition.  :class:`PairScan` runs a one-pair
+scan in parts, runs of whole batches, and folds their extremes by the
+kernel's own rule across batches (``_Extremes``: the first of equal
+values wins), so the CLI writes a file's parts in separate processes.
 
 The batch runs (``run_all_pairs``, ``run_versus_time``, ``run_pair_list``)
 share one chunk loop over pair indices, of the pair-index triangle or of
 an explicit pair list, on ``JobConfig.workers`` processes.  Chunks are
-fixed in pair-index space (never derived from the worker count), results
+fixed in pair-index space by (n, m), never by the worker count, results
 are reassembled in submission order, and every array operation is row- or
 column-independent, so output is byte-identical no matter how many
 workers run.  A worker that dies outright fails the run instead of
@@ -54,7 +57,7 @@ import re
 import signal
 import time
 from collections.abc import Sequence
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,7 +76,8 @@ from .segments import (
     window_sums,
 )
 
-CHUNK_PAIRS = 8192          # fixed chunk width in pair-index space
+CHUNK_PAIRS = 8192          # most pairs per chunk
+_CHUNK_EVALS = 2 ** 26      # most pair x composition evaluations a chunk of more than one pair holds
 _CELL_BUDGET = 4_194_304    # max cells of a batch's (compositions x columns) product
 _VAR_SUM_BUDGET = 25_000_000  # max cells of the per-series variance-sum table
 
@@ -607,20 +611,50 @@ def _extremes(r: np.ndarray, nan_cols: np.ndarray):
     return top, r[top, cols], bottom, r[bottom, cols]
 
 
-def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, block=None):
+class _Extremes:
+    """Running extremes of each column: the maximum and minimum so far, and
+    the first composition of each (-1 before any)."""
+
+    def __init__(self, J: int):
+        self.best = np.full(J, -np.inf)
+        self.best_idx = np.full(J, -1, dtype=np.int64)
+        self.worst = np.full(J, np.inf)
+        self.worst_idx = np.full(J, -1, dtype=np.int64)
+
+    def fold(self, top, high, bottom, low, lo: int = 0) -> None:
+        """Fold in a later run of compositions, starting at ``lo``: its first
+        maximum ``high`` at ``top`` and first minimum ``low`` at ``bottom``.
+        Only a strictly greater maximum or smaller minimum replaces the one
+        held, so of equal values the earlier composition wins, and NaN (a
+        run with nothing defined) replaces nothing."""
+        upd = high > self.best
+        self.best[upd] = high[upd]
+        self.best_idx[upd] = top[upd] + lo
+        upd = low < self.worst
+        self.worst[upd] = low[upd]
+        self.worst_idx[upd] = bottom[upd] + lo
+
+    def values(self):
+        """(hcc, lcc, bcc index, wcc index): NaN and -1 where nothing was defined."""
+        return (np.where(self.best_idx >= 0, self.best, np.nan),
+                np.where(self.worst_idx >= 0, self.worst, np.nan), self.best_idx, self.worst_idx)
+
+
+def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, block=None, batches=None):
     """Scan pairs (i, j) for j in [j0, j1); returns per-pair result arrays.
 
     ``block``, when given, is called once per batch of compositions, in
     canonical order, as block(offset, r, var_a, var_b, cov): (count, J)
     arrays of the batch's r_c and of its sums at the rows' scaled units.
     They are the kernel's scratch, valid during the call only.
+    ``batches``, a run of ``ctx.batches`` (all of them by default), limits
+    the scan to its compositions: a part of a one-pair scan, whose Pearson
+    is NaN unless the run holds the last batch.  Without the variance-sum
+    table, as in every one-pair scan, the Undefined count is the run's.
     """
     J = j1 - j0
     css_ab = _cross_css(ctx, i, j0, j1)
-    best = np.full(J, -np.inf)
-    best_idx = np.full(J, -1, dtype=np.int64)
-    worst = np.full(J, np.inf)
-    worst_idx = np.full(J, -1, dtype=np.int64)
+    running = _Extremes(J)
     pe = np.full(J, np.nan)
     # one product per block: the cross sums, and the self sums when not cached
     if ctx.var_sums is None:
@@ -632,7 +666,7 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, block=None):
         # only pairs with a row that has zero-variance compositions hold NaN
         nan_cols = np.flatnonzero(ctx.flat[j0:j1] + ctx.flat[i])
 
-    for lo, hi, batch in ctx.batches:
+    for lo, hi, batch in ctx.batches if batches is None else batches:
         # each block's product lands in its rows of the batch
         y = ctx.scratch("y", (hi - lo, x.shape[1]))
         for blk in batch:
@@ -655,21 +689,13 @@ def _scan_span(ctx: _Ctx, i: int, j0: int, j1: int, block=None):
             extremes = _extremes(r, nan_cols)
         if block is not None:
             block(lo, r, va, vb, cov)
-
         # the first of equal maxima wins, within a batch (argmax) and across
-        arg, val, arg_low, val_low = extremes
-        upd = val > best
-        best[upd] = val[upd]
-        best_idx[upd] = arg[upd] + lo
-        upd = val_low < worst
-        worst[upd] = val_low[upd]
-        worst_idx[upd] = arg_low[upd] + lo
+        running.fold(*extremes, lo)
 
         if hi == ctx.ncomp:
             pe = r[-1, :].copy()
 
-    hcc = np.where(best_idx >= 0, best, np.nan)
-    lcc = np.where(worst_idx >= 0, worst, np.nan)
+    hcc, lcc, best_idx, worst_idx = running.values()
     return hcc, pe, lcc, best_idx, worst_idx, undefined
 
 
@@ -724,7 +750,7 @@ def _chunk_results(ctx: _Ctx, ranges, workers: int):
             _CTX = None  # the run's tables go with the run
         return
     # imported here: a run on one worker never starts a pool
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, initializer=_set_ctx, initargs=(ctx,))
     try:
@@ -732,28 +758,64 @@ def _chunk_results(ctx: _Ctx, ranges, workers: int):
         # Ctrl-C in between leaves workers that nothing stops, or a thread
         # that shutdown cannot join, so SIGINT waits until map returns, and
         # in the workers until _set_ctx
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-        try:
+        with sigint_held():
             results = pool.map(_chunk_worker, ranges)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield from results
+    except BrokenExecutor:
+        raise_pending_interrupt()  # workers ended by a Ctrl-C
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+@contextmanager
+def sigint_held():
+    """Hold SIGINT back in this thread, and in the threads and processes it
+    starts, until the block ends; one sent meanwhile is delivered then."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def raise_pending_interrupt() -> None:
+    """Raise KeyboardInterrupt if a SIGINT has reached this process.
+
+    A Ctrl-C reaches the whole process group.  Pool workers and the children
+    that write parts of a one-pair file end at once (SIGINT's default
+    action), and their deaths can be seen before this process handles its
+    own SIGINT.  Blocking SIGINT runs the handler of one already received,
+    and unblocking it delivers one still pending: either raises here.
+    """
+    with sigint_held():
+        pass
 
 
 # ---------------------------------------------------------------------------
 # public runs
 
+def _chunk_pairs(ncomp: int) -> int:
+    """Pairs per chunk of a run whose pairs have ``ncomp`` compositions.
+
+    Set by (n, m) alone, never by the worker count, so output is the same on
+    any number of workers: ``CHUNK_PAIRS`` where pairs are cheap, fewer
+    where each costs more, so that a run of a few hundred pairs at n=31,
+    m=2 still makes chunks enough for every worker.
+    """
+    return max(1, min(CHUNK_PAIRS, _CHUNK_EVALS // ncomp))
+
+
 def _run_chunks(ctx: _Ctx, total: int, workers: int, sink, progress=None) -> RunSummary:
     """The one chunk loop of every batch run.
 
     Scans pair indices [0, total) of ``ctx`` in fixed chunks of
-    ``CHUNK_PAIRS`` and calls ``sink`` with each chunk's :class:`Records`,
+    :func:`_chunk_pairs` and calls ``sink`` with each chunk's :class:`Records`,
     empty or not, in pair-index order, then ``progress(done_pairs, total)``
     when given.
     """
-    ranges = [(lo, min(lo + CHUNK_PAIRS, total)) for lo in range(0, total, CHUNK_PAIRS)]
+    step = _chunk_pairs(ctx.ncomp)
+    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     # fork starts every pool worker at once, so no more than there are chunks
     workers = max(1, min(workers, len(ranges)))
     t0 = time.perf_counter()
@@ -828,6 +890,61 @@ def run_versus_time(dataset: Dataset, config: JobConfig, progress=None) -> Recor
     return Records(ctx.ids, ctx.parts, row, time_row, *values)
 
 
+class PairScan:
+    """One pair's scan, runnable in parts.
+
+    A part is a run of whole kernel batches (``batches``, as
+    ``_blocks.batches`` cuts them).  :meth:`cut` splits them into runs of
+    near-equal composition counts, :meth:`run` scans one, handing its
+    per-composition rows to a sink as :func:`scan` does, and :meth:`result`
+    folds the parts' answers, in part order, by the kernel's own rule
+    across batches: the first of equal extremes wins.  So a scan in any
+    number of parts, each in any process, gives the bits of a scan in one.
+    The tables are built here, before any part runs.
+    """
+
+    def __init__(self, a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
+                 options: ScanOptions = ScanOptions()):
+        if a.n != spec.n or b.n != spec.n:
+            raise ValueError(
+                f"scan spec expects n={spec.n}, series have {a.n} ({a.id!r}) and {b.n} ({b.id!r})"
+            )
+        self.a, self.b, self.spec, self.options = a, b, spec, options
+        self.ctx = _Ctx(np.vstack([a.values, b.values]), spec.m).load()
+        self.batches = self.ctx.batches
+
+    def cut(self, parts: int) -> list[tuple]:
+        """The batches in at most ``parts`` contiguous runs, each ending at the
+        batch boundary nearest its share of the compositions."""
+        ends = np.array([hi for _, hi, _ in self.batches])
+        parts = max(1, min(parts, len(ends)))
+        cuts = [0]
+        for k in range(1, parts):
+            near = int(np.abs(ends - k * self.ctx.ncomp / parts).argmin()) + 1
+            cuts.append(min(max(near, cuts[-1] + 1), len(ends) - parts + k))
+        cuts.append(len(ends))
+        return [self.batches[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+    def run(self, batches, sink=None):
+        """Scan the compositions of ``batches``, a run of :attr:`batches`, with
+        the sink of :func:`scan`: the run's (hcc, pearson, lcc, bcc index,
+        wcc index, undefined), the first five arrays of one value."""
+        block = None if sink is None else _rows_block(self.ctx, sink, self.options.clouds)
+        return _scan_span(self.ctx, 0, 1, 2, block, batches)
+
+    def result(self, parts, values=None, clouds=None) -> ScanResult:
+        """The pair's result from the answers of :meth:`run` over the runs of
+        :meth:`cut`, in order; ``values`` and ``clouds`` as :func:`scan` keeps them."""
+        running = _Extremes(1)
+        for hcc, _, lcc, bi, wi, _ in parts:
+            running.fold(bi, hcc, wi, lcc)
+        hcc, lcc, bi, wi = running.values()
+        pearson = parts[-1][1][0]  # the last run holds the one-part composition
+        undefined = sum(part[-1] for part in parts)
+        return ScanResult.from_kernel(self.a, self.b, self.spec, hcc[0], lcc[0], pearson,
+                                      int(bi[0]), int(wi[0]), undefined, values, clouds)
+
+
 def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
          options: ScanOptions = ScanOptions(), sink=None) -> ScanResult:
     """Evaluate r_c over every composition of the pair, canonical order.
@@ -840,17 +957,13 @@ def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
     nothing is kept and memory stays bounded by ``_blocks.BLOCK_ROWS``:
     each batch's slices of those columns go to sink(offset, r_c) or, with
     ``clouds``, sink(offset, r_c, var_a, var_b, cov), as vectors valid
-    during the call only.
+    during the call only.  It is a :class:`PairScan` in one part.
     """
-    if a.n != spec.n or b.n != spec.n:
-        raise ValueError(
-            f"scan spec expects n={spec.n}, series have {a.n} ({a.id!r}) and {b.n} ({b.id!r})"
-        )
-    ctx = _Ctx(np.vstack([a.values, b.values]), spec.m).load()
+    job = PairScan(a, b, spec, options)
     values = clouds = None
     if sink is None and (options.distribution or options.clouds):
-        values = np.empty(ctx.ncomp)
-        clouds = np.empty((ctx.ncomp, 4)) if options.clouds else None
+        values = np.empty(job.ctx.ncomp)
+        clouds = np.empty((job.ctx.ncomp, 4)) if options.clouds else None
 
         def sink(lo, *columns):
             rows = slice(lo, lo + len(columns[0]))
@@ -859,10 +972,7 @@ def scan(a: TimeSeries, b: TimeSeries, spec: CompositionSpec,
                 for k, col in enumerate(columns):
                     clouds[rows, k] = col
 
-    block = None if sink is None else _rows_block(ctx, sink, options.clouds)
-    hcc, pe, lcc, bi, wi, undefined = _scan_span(ctx, 0, 1, 2, block)
-    return ScanResult.from_kernel(
-        a, b, spec, hcc[0], lcc[0], pe[0], int(bi[0]), int(wi[0]), undefined, values, clouds)
+    return job.result([job.run(job.batches, sink)], values, clouds)
 
 
 def _rows_block(ctx: _Ctx, sink, clouds: bool):

@@ -3,7 +3,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from compcorr import _blocks, engine
+from compcorr import _blocks, cli, engine
 from compcorr.compositions import CompositionSpec, count_compositions
 from compcorr.datasets import Dataset, write_dataset
 from compcorr.segments import TimeSeries
@@ -68,3 +68,14 @@ def step_pair(tmp_path):
     path = tmp_path / "sp.tsv"
     write_dataset(ds, path)
     return ds, path
+
+
+@pytest.fixture()
+def parts(monkeypatch):
+    """``parts(k)`` writes every one-pair file of the test in k parts (at
+    most one a kernel batch), whatever the host's CPUs and the command's
+    ``--threads``."""
+    def pin(k: int) -> None:
+        monkeypatch.setattr(cli, "_part_count", lambda batches, processes: min(k, batches))
+
+    return pin

@@ -17,8 +17,8 @@ from compcorr import _blocks, cli, engine
 from compcorr.cli import _default_workers, _guarded_output, _write_distribution, build_parser, main
 from compcorr.compositions import CompositionSpec, composition_at
 from compcorr.corr import ScanOptions
-from compcorr.engine import scan
-from compcorr.datasets import Dataset, write_dataset
+from compcorr.engine import PairScan, scan
+from compcorr.datasets import Dataset, SynthSpec, generate, write_dataset
 from compcorr.engine import format_composition, format_number
 from compcorr.segments import ConsistencyError, TimeSeries
 
@@ -83,17 +83,27 @@ def line_by_line_distribution(result, precision):
         for parts, value in result.distribution())).encode()
 
 
-def in_blocks(values, sizes):
-    """A scan stand-in for the writers: hands ``values`` to the sink in
-    consecutive blocks of the given sizes, cycled."""
-    def fill(sink):
+class InBlocks:
+    """A scan stand-in for the writers, one batch and so one part: hands
+    ``values`` to the sink in consecutive blocks of the given sizes, cycled."""
+
+    def __init__(self, values, sizes):
+        self.values, self.sizes = values, sizes
+        self.batches = ((0, len(values), ()),)
+
+    def cut(self, parts):
+        return [self.batches]
+
+    def run(self, batches, sink):
+        values, sizes = self.values, self.sizes
         lo, k = 0, 0
         while lo < len(values):
             hi = min(lo + sizes[k % len(sizes)], len(values))
             sink(lo, values[lo:hi].copy())
             lo, k = hi, k + 1
+
+    def result(self, answers):
         return "done"
-    return fill
 
 
 @pytest.mark.parametrize("rows", [1, 16, _blocks.BLOCK_ROWS])
@@ -123,14 +133,14 @@ def test_distribution_writer_matches_line_by_line_rendering(tmp_path, monkeypatc
             # batches cut into 100-line slices and a rest, one line on its
             # own, and batches of exactly one and two slices
             for sizes in ([37, 1, 250], [100, 200]):
-                got = _write_distribution(path, spec, precision, in_blocks(result.values, sizes))
+                got = _write_distribution(path, spec, precision, InBlocks(result.values, sizes))
                 assert got == "done"
                 assert path.read_bytes() == line_by_line_distribution(result, precision)
     assert "\t-0.000000\n" in path.read_text()
     assert "\tNA\n" in path.read_text()
 
 
-def test_distribution_writer_memory_is_bounded(tmp_path):
+def test_distribution_writer_memory_is_bounded(tmp_path, parts):
     # the values vector alone is 6.6 MB at (31, 2); the writer holds O(runs)
     # label tables and one block of lines, never an array per composition
     rng = np.random.default_rng(31)
@@ -138,9 +148,10 @@ def test_distribution_writer_memory_is_bounded(tmp_path):
     spec = CompositionSpec(31, 2)
     result = scan(a, b, spec, ScanOptions(distribution=True))
     engine._label_table.cache_clear()
+    parts(1)  # one process's streaming
     tracemalloc.start()
     try:
-        _write_distribution(tmp_path / "d.txt", spec, 6, in_blocks(result.values, [46368]))
+        _write_distribution(tmp_path / "d.txt", spec, 6, InBlocks(result.values, [46368]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -155,10 +166,15 @@ def test_distribution_writer_needs_values(tmp_path):
     spec = CompositionSpec(6, 2)
     values = scan(a, a, spec, ScanOptions(distribution=True)).values
     path = tmp_path / "d.txt"
+
+    class Sinkless(PairScan):
+        def run(self, batches, sink):
+            return super().run(batches)
+
     with pytest.raises(ValueError, match="delivered 0 of 5 compositions"):
-        _write_distribution(path, spec, 6, lambda sink: scan(a, a, spec))
+        _write_distribution(path, spec, 6, Sinkless(a, a, spec))
     with pytest.raises(ValueError, match="delivered 4 of 5"):
-        _write_distribution(path, spec, 6, in_blocks(values[:4], [2]))
+        _write_distribution(path, spec, 6, InBlocks(values[:4], [2]))
     assert not path.exists() and (tmp_path / "d.txt.partial").exists()
 
 
@@ -186,7 +202,7 @@ def test_distribution_slices_leave_no_stale_bytes(tmp_path, monkeypatch, precisi
 
     monkeypatch.setattr(engine, "format", counting, raising=False)
     path = tmp_path / "d.txt"
-    assert _write_distribution(path, spec, precision, in_blocks(values, [50])) == "done"
+    assert _write_distribution(path, spec, precision, InBlocks(values, [50])) == "done"
     if precision >= 15:
         assert set(values[60:70].tolist()) <= set(fallbacks)
     labels = [format_composition(composition_at(spec, k)) for k in range(89)]
@@ -210,9 +226,11 @@ def pair31(tmp_path):
     ["clouds", "a", "b", "--min-part", "2", "--output", "clouds.txt"],
     ["all-pairs", "--min-part", "2", "--threads", "1", "--emit-distribution"],
 ])
-def test_one_pair_scans_stream_their_files(in_tmp, pair31, command):
+def test_one_pair_scans_stream_their_files(in_tmp, pair31, parts, command):
     # 832,040 compositions at (31, 2): one float per composition is 6.7 MB,
-    # more than a whole run may hold over its tries, blocks built first
+    # more than a whole run may hold over its tries, blocks built first; in
+    # one part, as tracemalloc sees one process
+    parts(1)
     _blocks.blocks_for(31, 2)
     tracemalloc.start()
     try:
@@ -248,14 +266,15 @@ def test_streamed_files_match_line_by_line_rendering(in_tmp, small_blocks, step_
               489: -1e-9, 490: -0.0, kept.n_compositions - 2: -0.0}
     assert (233, 521) in [(lo, hi) for lo, hi, _ in _blocks.batches(_blocks.blocks_for(18, 2))]
 
-    def injected(sink):
-        def block(lo, values):
-            values = values.copy()
-            for k, v in inject.items():
-                if lo <= k < lo + len(values):
-                    values[k - lo] = v
-            sink(lo, values)
-        return block
+    class Injected(PairScan):
+        def run(self, batches, sink):
+            def block(lo, values):
+                values = values.copy()
+                for k, v in inject.items():
+                    if lo <= k < lo + len(values):
+                        values[k - lo] = v
+                sink(lo, values)
+            return super().run(batches, block)
 
     for precision in (0, 3, 6, 15):
         code, _, err = run(["pair", "step", "b", "--input", str(path), "--min-part", "2",
@@ -269,8 +288,7 @@ def test_streamed_files_match_line_by_line_rendering(in_tmp, small_blocks, step_
 
         want = scan(a, b, spec, ScanOptions(distribution=True))
         want.values[list(inject)] = list(inject.values())
-        got = _write_distribution(Path("injected.txt"), spec, precision,
-                                  lambda sink: scan(a, b, spec, sink=injected(sink)))
+        got = _write_distribution(Path("injected.txt"), spec, precision, Injected(a, b, spec))
         assert (got.hcc, got.bcc, got.n_undefined) == (kept.hcc, kept.bcc, kept.n_undefined)
         text = Path("injected.txt").read_bytes()
         assert text == line_by_line_distribution(want, precision)
@@ -303,6 +321,167 @@ def test_failed_scan_leaves_a_partial_distribution(in_tmp, small_blocks, step_pa
     delivered = min(lo for lo, _, _ in _blocks.batches(_blocks.blocks_for(18, 2)) if lo >= 1000)
     assert delivered // 257 >= 3 and delivered % 257
     assert partial == b"".join(want.splitlines(keepends=True)[:1 + delivered])
+
+
+# ------------------------------------------------- one-pair files in parts
+
+def _children() -> list[int]:
+    """Processes this one started and has not reaped."""
+    tasks = Path(f"/proc/{os.getpid()}/task")
+    return [int(pid) for task in tasks.iterdir() for pid in (task / "children").read_text().split()]
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "copy_file_range")
+    or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="parts run in forked children, found through /proc")
+
+
+@needs_fork
+@pytest.mark.parametrize("k", [2, 3])
+def test_files_in_parts_are_the_files_in_one(in_tmp, small_blocks, step_pair, parts, k):
+    ds, path = step_pair
+    a, b = ds.get("step"), ds.get("b")
+    spec = CompositionSpec(18, 2)
+    starts = [part[0][0] for part in PairScan(a, b, spec).cut(k)[1:]]
+    assert len(starts) == k - 1
+    # each part boundary between lines of -0.000000 and NA, and NA and -0.000000
+    inject = {at + d: v for at in starts for d, v in ((-2, -0.0), (-1, np.nan), (0, -1e-12), (1, np.nan))}
+
+    class Injected(PairScan):
+        def run(self, batches, sink):
+            def block(lo, values):
+                values = values.copy()
+                for at, v in inject.items():
+                    if lo <= at < lo + len(values):
+                        values[at - lo] = v
+                sink(lo, values)
+            return super().run(batches, block)
+
+    def outputs():
+        got = []
+        for precision in (0, 6, 15):
+            for command, name in ((["pair", "step", "b"], "Output.sp.step.b.n18.m2.txt"),
+                                  (["clouds", "step", "b", "--output", "clouds.txt"], "clouds.txt"),
+                                  (["all-pairs", "--threads", "1", "--emit-distribution",
+                                    "--output", "ap.tsv"], "Output.sp.step.b.n18.m2.txt")):
+                code, out, err = run(command + ["--input", str(path), "--min-part", "2",
+                                                "--precision", str(precision)])
+                assert code == 0, err
+                got.append(([line for line in out.splitlines() if " s wall" not in line],
+                            Path(name).read_bytes()))
+            result = _write_distribution(Path("injected.txt"), spec, precision, Injected(a, b, spec))
+            got.append((repr(result), Path("injected.txt").read_bytes()))
+        assert sorted(os.listdir(".")) == sorted(["sp.tsv", "Output.sp.step.b.n18.m2.txt",
+                                                  "clouds.txt", "ap.tsv", "injected.txt"])
+        return got
+
+    parts(1)
+    fds = len(os.listdir("/proc/self/fd"))
+    one = outputs()
+    want = scan(a, b, spec, ScanOptions(distribution=True))
+    want.values[list(inject)] = list(inject.values())
+    assert one[-1][1] == line_by_line_distribution(want, 15)
+    parts(k)
+    assert outputs() == one
+    # no child left running, nor an unnamed temporary file left open
+    assert _children() == [] and len(os.listdir("/proc/self/fd")) == fds
+
+
+@needs_fork
+def test_an_exact_tie_across_forked_parts_goes_to_the_earlier_composition(in_tmp, parts):
+    # the cubic_minus_x tie of test_05, split between part 0 and a child,
+    # for the maximum and (b negated) the minimum
+    a, b = generate(SynthSpec("cubic_minus_x", -1.4, 1.4, 30))
+    spec = CompositionSpec(31, 2)
+    parts(2)
+
+    class Split(PairScan):
+        def cut(self, k):
+            at = next(j for j, (lo, hi, _) in enumerate(self.batches) if lo <= self.later < hi)
+            return [self.batches[:at], self.batches[at:]]
+
+    for sign, later in ((1.0, "bcc"), (-1.0, "wcc")):
+        job = Split(a, TimeSeries("b", sign * b.values), spec)
+        values = scan(job.a, job.b, spec, ScanOptions(distribution=True)).values
+        job.later = int(np.flatnonzero(values == sign * np.nanmax(sign * values))[1])
+        got = _write_distribution(Path("d.txt"), spec, 6, job, 2)
+        assert getattr(got, later) == (8, 2, 2, 2, 2, 2, 2, 2, 9)
+        assert composition_at(spec, job.later) == (9, 2, 2, 2, 2, 2, 2, 2, 8)
+
+
+@needs_fork
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_failed_part_leaves_a_partial_distribution(in_tmp, small_blocks, step_pair, monkeypatch,
+                                                     parts, k):
+    # the failing batch is in a child's part; its lines before the failure
+    # are appended after part 0's, and a later part's are not
+    parts(k)
+    ds, _ = step_pair
+    cuts = PairScan(ds.get("step"), ds.get("b"), CompositionSpec(18, 2)).cut(k)
+    assert cuts[0][-1][1] < 1000 <= cuts[-1][-1][0]
+    test_failed_scan_leaves_a_partial_distribution(in_tmp, small_blocks, step_pair, monkeypatch)
+    assert _children() == []
+
+
+@needs_fork
+def test_a_killed_part_fails_the_run(in_tmp, small_blocks, step_pair, monkeypatch, parts):
+    ds, path = step_pair
+    want = line_by_line_distribution(scan(ds.get("step"), ds.get("b"), CompositionSpec(18, 2),
+                                          ScanOptions(distribution=True)), 6)
+    parts(3)
+    cuts = PairScan(ds.get("step"), ds.get("b"), CompositionSpec(18, 2)).cut(3)
+    rows_block, parent = engine._rows_block, os.getpid()
+
+    def dying(ctx, sink, clouds):
+        block = rows_block(ctx, sink, clouds)
+
+        def killed(lo, *arrays):
+            if os.getpid() != parent and lo == cuts[1][-1][0]:  # part 1's last batch
+                os.kill(os.getpid(), signal.SIGKILL)
+            block(lo, *arrays)
+        return killed
+
+    monkeypatch.setattr(engine, "_rows_block", dying)
+
+    def hung(signum, frame):
+        raise TimeoutError("the run still waits for the dead part")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code, _, err = run(["pair", "step", "b", "--input", str(path), "--min-part", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert f"error: the process scanning compositions {cuts[1][0][0]} to {cuts[1][-1][1] - 1} " \
+           "ended without an answer: killed by signal 9" in err
+    # part 0's lines only: the killed part's file may end within a line
+    partial = Path("Output.sp.step.b.n18.m2.txt.partial").read_bytes()
+    assert partial == b"".join(want.splitlines(keepends=True)[:1 + cuts[1][0][0]])
+    assert sorted(os.listdir(".")) == ["Output.sp.step.b.n18.m2.txt.partial", "sp.tsv"]
+    assert _children() == []
+
+
+def test_part_count_is_the_cpus_the_process_may_use(in_tmp, toy_file, monkeypatch):
+    monkeypatch.delenv("COMP_CORR_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _default_workers() == cli._cpus() == 3
+    assert cli._part_count(56, 3) == 3  # n=31, m=2
+    assert cli._part_count(11, 3) == 2  # cli.PART_BATCHES batches a part at least
+    assert cli._part_count(7, 3) == 1
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # as under taskset -c 0
+    assert _default_workers() == 1
+    code, _, err = run(["pair", "--function", "square", "--min-part", "2"])
+    assert code == 0, err
+    assert forks == []
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _default_workers() == 64
 
 
 def test_unknown_series_leaves_no_file(in_tmp, step_pair):
@@ -620,6 +799,38 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has exited
 
 
+def _interrupt(cwd: Path, argv: list[str], children: int) -> tuple[str, list[int]]:
+    """Run ``python argv`` in its own process group, send the group SIGINT
+    once it has ``children`` child processes, as Ctrl-C in a terminal does,
+    and return its stderr and those children."""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        listed = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        pids: list[int] = []
+        deadline = time.monotonic() + 60
+        while len(pids) < children and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+            pids = [int(pid) for pid in listed.read_text().split()]
+        assert len(pids) == children, "the run's children never started"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 1, err
+    assert "interrupted" in err
+    assert "Traceback" not in err  # not even from a worker still loading its tables
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
+    return err, pids
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
                     or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
                     reason="finds the pool's forked workers through /proc")
@@ -628,35 +839,19 @@ def test_all_pairs_ctrl_c_stops_the_run_and_its_workers(tmp_path):
     walks = tuple(TimeSeries(f"w{i}", np.cumsum(rng.normal(size=23))) for i in range(200))
     write_dataset(Dataset(series=walks, name="walks"), tmp_path / "walks.tsv")
     assert len(walks) * (len(walks) - 1) // 2 > engine.CHUNK_PAIRS  # so a pool starts
-    src = str(Path(engine.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "compcorr.cli", "all-pairs", "--input", "walks.tsv", "--min-part", "2",
-         "--threads", "2", "--output", "ap.tsv"],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True)
-    try:
-        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-        workers: list[int] = []
-        deadline = time.monotonic() + 60
-        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.05)
-            workers = [int(pid) for pid in children.read_text().split()]
-        assert len(workers) == 2, "the pool's workers never started"
-        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C in a terminal does
-        _, err = proc.communicate(timeout=60)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-    assert proc.returncode == 1
-    assert "interrupted" in err
-    assert "Traceback" not in err  # not even from a worker still loading its tables
+    _interrupt(tmp_path, ["-m", "compcorr.cli", "all-pairs", "--input", "walks.tsv", "--min-part", "2",
+                          "--threads", "2", "--output", "ap.tsv"], children=2)
     assert (tmp_path / "ap.tsv.partial").exists() and not (tmp_path / "ap.tsv").exists()
-    deadline = time.monotonic() + 10
-    while any(map(_running, workers)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not any(map(_running, workers))
+
+
+@needs_fork
+def test_pair_ctrl_c_stops_the_run_and_its_parts(tmp_path, pair31):
+    # two parts whatever the host's CPUs: part 1 in the one child
+    pinned = ("import sys; from compcorr import cli; "
+              "cli._part_count = lambda batches, processes: 2; sys.exit(cli.main(sys.argv[1:]))")
+    _interrupt(tmp_path, ["-c", pinned, "pair", "a", "b", "--input", str(pair31), "--min-part", "2"],
+               children=1)
+    assert sorted(os.listdir(tmp_path)) == ["Output.w31.a.b.n31.m2.txt.partial", "w31.tsv"]
 
 
 @pytest.mark.parametrize("command", ["pair g0 g1", "clouds g0 g1", "all-pairs", "time-corr"])

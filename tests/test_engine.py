@@ -14,12 +14,13 @@ from compcorr.compositions import (
     enumerate_compositions,
 )
 from compcorr.corr import ScanOptions, comp_correlation
-from compcorr.datasets import Dataset
+from compcorr.datasets import Dataset, SynthSpec, generate
 from compcorr.engine import (
     RECORD_HEADER,
     FilterClause,
     JobConfig,
     PairRecord,
+    PairScan,
     Records,
     composition_labels,
     format_composition,
@@ -109,6 +110,29 @@ def test_summary_counts_the_processes_that_ran(monkeypatch, pool_starts):
     assert pool_starts == [2] and summary.workers == 2
 
 
+def test_chunks_are_sized_by_the_cost_of_a_pair(monkeypatch, pool_starts):
+    # allpairs_emit (n=23, m=4): 250 compositions a pair, full chunks, so its
+    # 64,620 pairs stay 8 chunks; at n=31, m=2 a chunk is 80 pairs, so
+    # time-corr on 200 series makes 3 chunks and runs on 2 workers
+    assert engine._chunk_pairs(count_compositions(CompositionSpec(23, 4))) == engine.CHUNK_PAIRS
+    assert -(-64_620 // engine.CHUNK_PAIRS) == 8
+    assert engine._chunk_pairs(count_compositions(CompositionSpec(31, 2))) == 80
+    assert engine._chunk_pairs(2 ** 40) == 1
+    # the same rule on a cheap run: 4 pairs a chunk at 250 compositions
+    monkeypatch.setattr(engine, "_CHUNK_EVALS", 4 * 250 + 249)
+    ds = toy_dataset(S=6)  # 15 pairs in 4 chunks
+    runs = []
+    for workers in (1, 2, 4):
+        chunks, records = [], []
+        summary = run_all_pairs(ds, JobConfig(m=4, workers=workers), records.extend,
+                                progress=lambda done, total: chunks.append(done))
+        assert chunks == [4, 8, 12, 15]
+        assert summary.workers == min(workers, 4)
+        runs.append(records)
+    assert pool_starts == [2, 4]
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_pair_index_triangle_matches_row_major_order():
     for S in range(2, 61):
         pairs = [(i, j) for i in range(S) for j in range(i + 1, S)]
@@ -175,6 +199,51 @@ def test_block_geometry_changes_no_bit(block_rows, step_pair):
     # the clamp, on blocks and batches of at most 16 compositions
     geometry(16, 13)
     test_kernel_clamps_affine_copies_to_unit_correlation()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_a_scan_in_parts_gives_the_bits_of_one(block_rows, step_pair, k):
+    block_rows(300)
+    ds, _ = step_pair
+    a, b = ds.get("step"), ds.get("b")
+    spec = CompositionSpec(18, 2)
+    whole = scan(a, b, spec, ScanOptions(distribution=True))
+    job = PairScan(a, b, spec)
+    cuts = job.cut(k)
+    # contiguous runs of whole batches, of near-equal composition counts
+    assert len(cuts) == k and sum(cuts, ()) == job.batches
+    sizes = [part[-1][1] - part[0][0] for part in cuts]
+    assert max(sizes) - min(sizes) <= _blocks.BLOCK_ROWS
+    values = np.full(whole.n_compositions, 7.0)
+
+    def sink(lo, r):
+        values[lo:lo + len(r)] = r
+
+    got = job.result([job.run(part, sink) for part in cuts])
+    assert (repr((got.hcc, got.lcc, got.pearson, got.bcc, got.wcc, got.n_undefined))
+            == repr((whole.hcc, whole.lcc, whole.pearson, whole.bcc, whole.wcc, whole.n_undefined)))
+    np.testing.assert_array_equal(values, whole.values)  # NaN where Undefined
+
+
+def test_an_exact_tie_split_across_parts_goes_to_the_earlier_composition():
+    # cubic_minus_x at n=31 (test_05): BCC and its mirror have the same r_c
+    # to the bit; with b negated the two tie for the minimum instead
+    a, b = generate(SynthSpec("cubic_minus_x", -1.4, 1.4, 30))
+    spec = CompositionSpec(31, 2)
+    for sign in (1.0, -1.0):
+        b_ = TimeSeries(b.id, sign * b.values)
+        values = scan(a, b_, spec, ScanOptions(distribution=True)).values
+        first, second = np.flatnonzero(values == sign * np.nanmax(sign * values))
+        assert composition_at(spec, first) == (8, 2, 2, 2, 2, 2, 2, 2, 9)
+        assert composition_at(spec, second) == (9, 2, 2, 2, 2, 2, 2, 2, 8)
+        job = PairScan(a, b_, spec)
+        # a part boundary between them: the later part starts at the batch of the second
+        batches = job.batches
+        at = next(k for k, (lo, hi, _) in enumerate(batches) if lo <= second < hi)
+        assert batches[at][0] > first
+        got = job.result([job.run(batches[:at]), job.run(batches[at:])])
+        extreme, index = (got.hcc, got.bcc) if sign > 0 else (got.lcc, got.wcc)
+        assert (extreme, index) == (values[first], (8, 2, 2, 2, 2, 2, 2, 2, 9))
 
 
 def test_span_width_keeps_the_batch_product_within_the_cell_budget():
