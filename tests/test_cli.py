@@ -401,12 +401,12 @@ def test_an_exact_tie_across_forked_parts_goes_to_the_earlier_composition(in_tmp
             at = next(j for j, (lo, hi, _) in enumerate(self.batches) if lo <= self.later < hi)
             return [self.batches[:at], self.batches[at:]]
 
-    for sign, later in ((1.0, "bcc"), (-1.0, "wcc")):
+    for sign, field in ((1.0, "bcc"), (-1.0, "wcc")):
         job = Split(a, TimeSeries("b", sign * b.values), spec)
         values = scan(job.a, job.b, spec, ScanOptions(distribution=True)).values
         job.later = int(np.flatnonzero(values == sign * np.nanmax(sign * values))[1])
         got = _write_distribution(Path("d.txt"), spec, 6, job, 2)
-        assert getattr(got, later) == (8, 2, 2, 2, 2, 2, 2, 2, 9)
+        assert getattr(got, field) == (8, 2, 2, 2, 2, 2, 2, 2, 9)
         assert composition_at(spec, job.later) == (9, 2, 2, 2, 2, 2, 2, 2, 8)
 
 
