@@ -13,9 +13,10 @@ file's writer, which renders and writes it BLOCK_LINES lines at a time
 (a distribution file's in place, into one line matrix), so no array
 holds a value per composition.  The scan is cut into parts at batch
 boundaries, one a CPU the process may use (``--threads`` workers for
-``--emit-distribution``), each part but the first written by a forked
-child into a temporary file that is appended in order.  Series ids are
-checked before they go into a file name.
+``--emit-distribution``), each part but the first written into a
+temporary file by a child forked after the tables are built
+(``engine.forked``, which also runs a batch run's chunks), and appended
+in order.  Series ids are checked before they go into a file name.
 Exit status is 0 only when the requested computation completed; aborted
 runs leave their partial output renamed with a .partial suffix.
 """
@@ -23,12 +24,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
-import signal
 import sys
 import tempfile
 import time
-from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
@@ -46,15 +44,14 @@ from .engine import (
     fixed_width,
     format_composition,
     format_number,
+    forked,
     join_rows,
     label_width,
     line_matrix,
     parse_filter,
-    raise_pending_interrupt,
     render_fixed,
     run_all_pairs,
     run_versus_time,
-    sigint_held,
 )
 from .segments import ConsistencyError
 
@@ -201,34 +198,40 @@ def _write_lines(path: Path, header: bytes, spec: CompositionSpec, job, processe
     ``job`` is an ``engine.PairScan``.  Its batches are cut into
     :func:`_part_count` parts (``job.cut``), contiguous runs of near-equal
     size.  Part 0 runs here and writes into the file; every other part runs
-    in a forked child (:class:`_Part`), and its file is appended, in part
-    order, when it is done.  Each part hands its batches, as they arrive,
-    to a sink that writes them straight from the kernel's arrays in slices
-    of at most BLOCK_LINES lines: ``render(first, *columns)`` gives a
-    slice's text, ``first`` being its first canonical composition index.
-    So memory is one batch and one slice a process, whatever n.  The
-    parts' answers are folded by ``job.result``, which is returned.  A scan
-    that fails in any part, or hands over other than every composition,
-    leaves a .partial file of every line delivered before the failure.
+    in a forked child (``engine.forked``) and writes into an unnamed
+    temporary file in the output's directory, opened before the fork, which
+    is appended in part order when the part is done.  Each part hands its
+    batches, as they arrive, to a sink that writes them straight from the
+    kernel's arrays in slices of at most BLOCK_LINES lines:
+    ``render(first, *columns)`` gives a slice's text, ``first`` being its
+    first canonical composition index.  So memory is one batch and one
+    slice a process, whatever n.  The parts' answers are folded by
+    ``job.result``, which is returned.  A scan that fails in any part, or
+    hands over other than every composition, leaves a .partial file of
+    every line delivered before the failure.
     """
     cuts = job.cut(_part_count(len(job.batches), processes))
     with _guarded_output(path, "wb") as out:
         out.write(header)
         out.flush()
-        children = []
+        files = [tempfile.TemporaryFile(dir=path.parent) for _ in cuts[1:]]
         try:
-            if len(cuts) > 1:
-                # a Ctrl-C while a child starts would break into its at-fork
-                # hooks, or leave a child the parent does not know
-                with sigint_held():
-                    for batches in cuts[1:]:
-                        children.append(_Part(job, batches, render, path.parent))
-            answers = [_run_part(job, cuts[0], render, out)]
-            for child in children:
-                answers.append(child.join(out))
+            parts = (_part(job, batches, render, file) for batches, file in zip(cuts[1:], files))
+            with forked(parts) as children:
+                answers = [_run_part(job, cuts[0], render, out)]
+                for batches, child, file in zip(cuts[1:], children, files):
+                    answer = child.answer(f"compositions {batches[0][0]} to {batches[-1][1] - 1}")
+                    # the part's lines, up to its failure if it failed
+                    out.flush()
+                    offset = 0
+                    while copied := os.copy_file_range(file.fileno(), out.fileno(), 1 << 30, offset):
+                        offset += copied
+                    if isinstance(answer, BaseException):
+                        raise answer
+                    answers.append(answer)
         finally:
-            for child in children:
-                child.close()
+            for file in files:
+                file.close()
         done = sum(delivered for _, delivered in answers)
         total = count_compositions(spec)
         if done != total:
@@ -250,83 +253,13 @@ def _run_part(job, batches, render, out):
     return job.run(batches, sink), done
 
 
-class _Part:
-    """One part of a one-pair file, scanned in a forked child.
-
-    The child writes the part's lines, as part 0 does, into an unnamed
-    temporary file in the output's directory, opened before the fork, and
-    sends its answer, or the exception that ended it, back through a pipe.
-    It takes SIGINT's default action, as pool workers do: a Ctrl-C reaches
-    the parent too, which reports it.  It always leaves through
-    ``os._exit``, so it never flushes inherited buffers, runs exit handlers
-    or returns into the caller.
-    """
-
-    def __init__(self, job, batches, render, directory: Path):
-        self.span = f"compositions {batches[0][0]} to {batches[-1][1] - 1}"
-        self.file = tempfile.TemporaryFile(dir=directory)
-        self.pipe, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(write)
-            self.pid = None
-            self.close()
-            raise
-        if self.pid == 0:
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_DFL)
-                signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGINT])
-                os.close(self.pipe)
-                try:
-                    try:
-                        answer = _run_part(job, batches, render, self.file)
-                    finally:
-                        self.file.flush()
-                except BaseException as exc:
-                    answer = exc
-                try:
-                    data = pickle.dumps(answer)
-                except Exception:  # an exception that does not pickle
-                    data = pickle.dumps(ChildProcessError(f"{self.span}: {answer!r}"))
-                with open(write, "wb") as pipe:
-                    pipe.write(data)
-            finally:
-                os._exit(0)
-        os.close(write)
-
-    def join(self, out):
-        """Wait for the part and append its lines to ``out``: its answer, or
-        the exception that ended it, raised once its lines are appended."""
-        with open(self.pipe, "rb") as pipe:
-            self.pipe = None
-            data = pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if not data:
-            code = os.waitstatus_to_exitcode(status)
-            if code == -signal.SIGINT:
-                raise KeyboardInterrupt  # a Ctrl-C, which this process gets too
-            raise_pending_interrupt()
-            raise ChildProcessError(f"the process scanning {self.span} ended without an answer: "
-                                    + (f"killed by signal {-code}" if code < 0 else f"exit status {code}"))
-        answer = pickle.loads(data)
-        out.flush()
-        offset = 0
-        while copied := os.copy_file_range(self.file.fileno(), out.fileno(), 1 << 30, offset):
-            offset += copied
-        if isinstance(answer, BaseException):
-            raise answer
-        return answer
-
-    def close(self) -> None:
-        """End and reap the child if it still runs; free its pipe and file."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        if self.pipe is not None:
-            os.close(self.pipe)
-        self.file.close()
+def _part(job, batches, render, file):
+    """A child's part: its lines into ``file``, flushed, then its answer."""
+    try:
+        answer = _run_part(job, batches, render, file)
+    finally:
+        file.flush()
+    yield answer
 
 
 def _write_distribution(path: Path, spec: CompositionSpec, precision: int, job, processes: int = 1):
@@ -569,7 +502,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 1
-    except (ValueError, OSError, ConsistencyError, BrokenExecutor) as exc:
+    except (ValueError, OSError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,12 +27,13 @@ values wins), so the CLI writes a file's parts in separate processes.
 
 The batch runs (``run_all_pairs``, ``run_versus_time``, ``run_pair_list``)
 share one chunk loop over pair indices, of the pair-index triangle or of
-an explicit pair list, on ``JobConfig.workers`` processes.  Chunks are
-fixed in pair-index space by (n, m), never by the worker count, results
-are reassembled in submission order, and every array operation is row- or
-column-independent, so output is byte-identical no matter how many
-workers run.  A worker that dies outright fails the run instead of
-hanging it.
+an explicit pair list, on ``JobConfig.workers`` processes: children
+forked once the run's tables are built (:func:`forked`, which also runs
+the CLI's parts of a one-pair file).  Chunks are fixed in pair-index
+space by (n, m), never by the worker count, results are read back in
+chunk order, and every array operation is row- or column-independent, so
+output is byte-identical no matter how many workers run.  A child that
+dies outright fails the run instead of hanging it.
 
 Records pass through an optional conjunctive filter (comparisons on hcc,
 lcc, pearson, abs(pearson)) before reaching the sink; Undefined never
@@ -53,6 +54,8 @@ each ``PairRecord`` from the columns only when it is read.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import re
 import signal
 import time
@@ -494,13 +497,13 @@ def _runs(S: int, lo: int, hi: int):
 # vectorized chunk evaluation
 
 class _Ctx:
-    """Everything a worker needs; pickled once per worker at pool start.
+    """Everything a scan needs.
 
     Rows of ``X`` are series named by ``ids``.  Pair index p is the p-th
     pair of the pair-index triangle, or ``pairs[p]`` given ``pairs``, a
     (P, 2) int64 array of row pairs.  The per-row tables are left to
-    :meth:`load`, which runs in the process that runs the kernel, so a
-    pool's parent never holds them.
+    :meth:`load`, which runs once per run, before any child is forked, so
+    the children share them copy-on-write.
     """
 
     def __init__(self, X: np.ndarray, m: int, ids: Sequence[str] = (),
@@ -552,19 +555,6 @@ class _Ctx:
 
 
 _CTX: _Ctx | None = None
-
-
-def _set_ctx(ctx: _Ctx) -> None:
-    """A pool worker's initializer.
-
-    A Ctrl-C reaches the parent too, which reports it, so a worker ends at
-    once, as a program with no SIGINT handler does.  A KeyboardInterrupt
-    would print a traceback while the worker loads or waits for a chunk.
-    """
-    global _CTX
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGINT])  # blocked by _chunk_results
-    _CTX = ctx.load()
 
 
 def _cross_css(ctx: _Ctx, i: int, j0: int, j1: int) -> np.ndarray:
@@ -737,59 +727,130 @@ def _chunk_worker(rg: tuple[int, int]):
 def _chunk_results(ctx: _Ctx, ranges, workers: int):
     """Chunk payloads in submission order, on ``workers`` processes (1: in-process).
 
-    A worker that dies outright breaks the pool, and the next payload
-    raises BrokenProcessPool instead of waiting for it.
+    The run's tables are built here, once.  With more than one worker,
+    child k (:func:`forked`) scans chunks k, k + workers, ... and the
+    payloads are read from the children in chunk order.  A chunk's
+    exception is raised in its turn, and a child that dies outright raises
+    ChildProcessError instead of hanging the run.
     """
     global _CTX
-    if workers == 1:
-        _CTX = ctx.load()
-        try:
-            for rg in ranges:
-                yield _chunk_worker(rg)
-        finally:
-            _CTX = None  # the run's tables go with the run
-        return
-    # imported here: a run on one worker never starts a pool
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, initializer=_set_ctx, initargs=(ctx,))
+    _CTX = ctx.load()
     try:
-        # map forks the workers, then starts the pool's manager thread.  A
-        # Ctrl-C in between leaves workers that nothing stops, or a thread
-        # that shutdown cannot join, so SIGINT waits until map returns, and
-        # in the workers until _set_ctx
-        with sigint_held():
-            results = pool.map(_chunk_worker, ranges)
-        yield from results
-    except BrokenExecutor:
-        raise_pending_interrupt()  # workers ended by a Ctrl-C
-        raise
+        if workers == 1:
+            yield from map(_chunk_worker, ranges)
+            return
+        # each child looks _chunk_worker up as it runs a chunk, so a patched
+        # one (bench/tracing.py hooks it) runs there
+        with forked((_chunk_worker(rg) for rg in ranges[k::workers]) for k in range(workers)) as children:
+            for c, (lo, hi) in enumerate(ranges):
+                payload = children[c % workers].answer(f"pairs {lo} to {hi - 1}")
+                if isinstance(payload, BaseException):
+                    raise payload
+                yield payload
     finally:
-        pool.shutdown(cancel_futures=True)
+        _CTX = None  # the run's tables go with the run
+
+
+@contextmanager
+def forked(works):
+    """One :class:`_Child` per iterable of ``works``, forked with SIGINT held,
+    so that a Ctrl-C can neither break into a child's at-fork hooks nor
+    leave a child this process does not know; each is ended and reaped,
+    SIGINT held again, when the block ends."""
+    children = []
+    try:
+        with sigint_held():
+            for answers in works:
+                children.append(_Child(answers))
+        yield children
+    finally:
+        with sigint_held():
+            for child in children:
+                child.close()
+
+
+class _Child:
+    """A forked child that runs ``answers``, an iterable, and sends each answer back.
+
+    The child takes SIGINT's default action: a Ctrl-C reaches the parent
+    too, which reports it.  It pickles each answer, or the exception that
+    ended the iterable, onto a pipe, and always leaves through
+    ``os._exit``, so it never flushes inherited buffers, runs exit handlers
+    or returns into the caller.
+    """
+
+    def __init__(self, answers):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGINT])
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    try:
+                        for answer in answers:
+                            pipe.write(pickle.dumps(answer))
+                            pipe.flush()
+                    except BaseException as exc:
+                        try:
+                            pipe.write(pickle.dumps(exc))
+                        except Exception:  # an exception that does not pickle
+                            pipe.write(pickle.dumps(ChildProcessError(repr(exc))))
+            finally:
+                os._exit(0)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def answer(self, span: str):
+        """The next answer the child sent, or the exception it sent instead;
+        ``span`` names its work in the error raised if it ended without one."""
+        try:
+            return pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # no answer, or part of one
+            pass
+        code = self._reap()
+        if code == -signal.SIGINT:
+            raise KeyboardInterrupt  # a Ctrl-C, which this process gets too
+        raise ChildProcessError(f"the process scanning {span} ended without an answer: "
+                                + (f"killed by signal {-code}" if code < 0
+                                   else f"terminated abruptly with exit status {code}"))
+
+    def _reap(self) -> int:
+        # SIGINT held, the pid goes with the reap: a Ctrl-C in between would
+        # leave close() a pid that is gone, or already someone else's.  A
+        # Ctrl-C reaches the whole process group, and a child's death can be
+        # seen before this process handles its own SIGINT: one received or
+        # pending raises here, as the block starts or ends
+        with sigint_held():
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+    def close(self) -> None:
+        """End and reap the child if it still runs; close its pipe."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        self.pipe.close()
 
 
 @contextmanager
 def sigint_held():
-    """Hold SIGINT back in this thread, and in the threads and processes it
-    starts, until the block ends; one sent meanwhile is delivered then."""
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    """Hold SIGINT back in this thread, and in the processes it forks,
+    until the block ends; one sent meanwhile is delivered then."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
     try:
+        # blocking runs the handler of a SIGINT received: the mask still goes back
+        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
         yield
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def raise_pending_interrupt() -> None:
-    """Raise KeyboardInterrupt if a SIGINT has reached this process.
-
-    A Ctrl-C reaches the whole process group.  Pool workers and the children
-    that write parts of a one-pair file end at once (SIGINT's default
-    action), and their deaths can be seen before this process handles its
-    own SIGINT.  Blocking SIGINT runs the handler of one already received,
-    and unblocking it delivers one still pending: either raises here.
-    """
-    with sigint_held():
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +877,9 @@ def _run_chunks(ctx: _Ctx, total: int, workers: int, sink, progress=None) -> Run
     """
     step = _chunk_pairs(ctx.ncomp)
     ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    # fork starts every pool worker at once, so no more than there are chunks
-    workers = max(1, min(workers, len(ranges)))
+    # one child a worker, so no more than there are chunks; one process
+    # where the platform cannot fork
+    workers = max(1, min(workers, len(ranges))) if hasattr(os, "fork") else 1
     t0 = time.perf_counter()
     done = emitted = undefined = 0
     with closing(_chunk_results(ctx, ranges, workers)) as chunks:

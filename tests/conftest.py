@@ -1,5 +1,3 @@
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -11,15 +9,24 @@ from compcorr.segments import TimeSeries
 
 @pytest.fixture()
 def pool_starts(monkeypatch):
-    """Worker counts of the process pools started during the test."""
-    starts = []
-    init = ProcessPoolExecutor.__init__
+    """Chunk children forked by each batch run of the test that forked any."""
+    starts, forks = [], []
+    fork, chunk_results = engine._Child.__init__, engine._chunk_results
 
-    def counting(self, max_workers=None, *args, **kwargs):
-        starts.append(max_workers)
-        init(self, max_workers, *args, **kwargs)
+    def counting_fork(self, *args, **kwargs):
+        forks.append(1)  # before the fork: a child never returns here
+        fork(self, *args, **kwargs)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting)
+    def counting(*args, **kwargs):
+        forks.clear()
+        try:
+            yield from chunk_results(*args, **kwargs)
+        finally:
+            if forks:
+                starts.append(len(forks))
+
+    monkeypatch.setattr(engine._Child, "__init__", counting_fork)
+    monkeypatch.setattr(engine, "_chunk_results", counting)
     return starts
 
 

@@ -331,10 +331,11 @@ def _children() -> list[int]:
     return [int(pid) for task in tasks.iterdir() for pid in (task / "children").read_text().split()]
 
 
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "copy_file_range")
-    or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
-    reason="parts run in forked children, found through /proc")
+_listed = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+needs_fork = pytest.mark.skipif(not hasattr(os, "copy_file_range") or not _listed,
+                                reason="parts run in forked children, found through /proc")
+forks_chunks = pytest.mark.skipif(not hasattr(os, "fork") or not _listed,
+                                  reason="batch runs fork their workers, found through /proc")
 
 
 @needs_fork
@@ -729,8 +730,7 @@ def test_all_pairs_emit_distribution(in_tmp, toy_file):
     assert Path(name).read_bytes() == (Path("single") / name).read_bytes()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool workers must inherit the patched kernel")
+@forks_chunks
 def test_all_pairs_worker_failure_leaves_partial_output(in_tmp, toy_file, monkeypatch, pool_starts):
     monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)  # 15 pairs in 4 chunks
     scan_span = engine._scan_span
@@ -751,10 +751,10 @@ def test_all_pairs_worker_failure_leaves_partial_output(in_tmp, toy_file, monkey
     assert lines[0] == "id_a\tid_b\thcc\tpearson\tlcc\tbcc\twcc"
     assert len(lines) == 1 + 8  # the two chunks before the failing one
     assert multiprocessing.active_children() == []
+    assert _children() == []
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool workers must inherit the patched kernel")
+@forks_chunks
 def test_all_pairs_worker_death_fails_the_run(in_tmp, toy_file, monkeypatch, pool_starts):
     monkeypatch.setattr(engine, "CHUNK_PAIRS", 4)  # 15 pairs in 4 chunks
     code, _, _ = run(["all-pairs", "--input", str(toy_file), "--min-part", "4",
@@ -789,6 +789,7 @@ def test_all_pairs_worker_death_fails_the_run(in_tmp, toy_file, monkeypatch, poo
     full = Path("full.tsv").read_text().splitlines()
     assert 1 <= len(partial) <= 1 + 8 and partial == full[:len(partial)]
     assert multiprocessing.active_children() == []
+    assert _children() == []
 
 
 def _running(pid: int) -> bool:
@@ -823,7 +824,7 @@ def _interrupt(cwd: Path, argv: list[str], children: int) -> tuple[str, list[int
             proc.wait()
     assert proc.returncode == 1, err
     assert "interrupted" in err
-    assert "Traceback" not in err  # not even from a worker still loading its tables
+    assert "Traceback" not in err  # not even from a child the SIGINT reached as it started
     deadline = time.monotonic() + 10
     while any(map(_running, pids)) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -831,9 +832,7 @@ def _interrupt(cwd: Path, argv: list[str], children: int) -> tuple[str, list[int
     return err, pids
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
-                    or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
-                    reason="finds the pool's forked workers through /proc")
+@forks_chunks
 def test_all_pairs_ctrl_c_stops_the_run_and_its_workers(tmp_path):
     rng = np.random.default_rng(23)
     walks = tuple(TimeSeries(f"w{i}", np.cumsum(rng.normal(size=23))) for i in range(200))
@@ -852,6 +851,46 @@ def test_pair_ctrl_c_stops_the_run_and_its_parts(tmp_path, pair31):
     _interrupt(tmp_path, ["-c", pinned, "pair", "a", "b", "--input", str(pair31), "--min-part", "2"],
                children=1)
     assert sorted(os.listdir(tmp_path)) == ["Output.w31.a.b.n31.m2.txt.partial", "w31.tsv"]
+
+
+@needs_fork
+@pytest.mark.parametrize("dies", [False, True], ids=["answered", "died"])
+def test_a_ctrl_c_as_a_part_is_reaped_leaves_no_pid_to_kill(in_tmp, small_blocks, step_pair,
+                                                           monkeypatch, parts, dies):
+    # the SIGINT lands just after the child is reaped, once it has answered
+    # or once it has died without an answer: unless the reap and the pid's
+    # reset both run with SIGINT held, the cleanup kills a pid that is gone
+    # (or reused) and the run reports that instead
+    _, path = step_pair
+    parts(2)
+    if dies:
+        rows_block, parent = engine._rows_block, os.getpid()
+
+        def dying(ctx, sink, clouds):
+            block = rows_block(ctx, sink, clouds)
+
+            def killed(lo, *arrays):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                block(lo, *arrays)
+            return killed
+
+        monkeypatch.setattr(engine, "_rows_block", dying)
+    waitpid, reaped = os.waitpid, []
+
+    def interrupted(pid, options):
+        got = waitpid(pid, options)
+        if not reaped:
+            reaped.append(pid)
+            os.kill(os.getpid(), signal.SIGINT)
+        return got
+
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    code, _, err = run(["pair", "step", "b", "--input", str(path), "--min-part", "2"])
+    assert reaped and code == 1
+    assert "interrupted" in err and "error" not in err
+    assert sorted(os.listdir(".")) == ["Output.sp.step.b.n18.m2.txt.partial", "sp.tsv"]
+    assert _children() == []
 
 
 @pytest.mark.parametrize("command", ["pair g0 g1", "clouds g0 g1", "all-pairs", "time-corr"])

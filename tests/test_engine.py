@@ -1,5 +1,8 @@
 import builtins
 import math
+import os
+import select
+import signal
 import tracemalloc
 
 import numpy as np
@@ -108,6 +111,22 @@ def test_summary_counts_the_processes_that_ran(monkeypatch, pool_starts):
     monkeypatch.setattr(engine, "CHUNK_PAIRS", 8)  # 15 pairs in 2 chunks
     _, summary = collect(ds, JobConfig(m=4, workers=4))
     assert pool_starts == [2] and summary.workers == 2
+
+
+def test_a_run_on_several_workers_builds_its_tables_once(tmp_path, monkeypatch, pool_starts):
+    # the parent builds them, and its forked children share them
+    monkeypatch.setattr(engine, "CHUNK_PAIRS", 8)  # 45 pairs in 6 chunks
+    loads, load = tmp_path / "loads", engine._Ctx.load
+
+    def logged(ctx):
+        with open(loads, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return load(ctx)
+
+    monkeypatch.setattr(engine._Ctx, "load", logged)
+    records, _ = collect(toy_dataset(S=10), JobConfig(m=4, workers=2))
+    assert pool_starts == [2] and len(records) == 45
+    assert loads.read_text().split() == [str(os.getpid())]
 
 
 def test_chunks_are_sized_by_the_cost_of_a_pair(monkeypatch, pool_starts):
@@ -252,6 +271,18 @@ def test_span_width_keeps_the_batch_product_within_the_cell_budget():
     ctx = engine._Ctx(np.random.default_rng(31).normal(size=(200, 31)), 2)
     assert 200 * ctx.ncomp > engine._VAR_SUM_BUDGET
     assert min(ctx.ncomp, _blocks.BLOCK_ROWS) * (2 * ctx.j_step + 1) <= engine._CELL_BUDGET
+
+
+def test_a_child_killed_within_an_answer_fails_with_its_signal():
+    # the pipe holds the start of a 4 MB answer, the child waits to write
+    # the rest, and the kill leaves the parent a truncated pickle
+    with engine.forked([iter([b"x" * (1 << 22)])]) as (child,):
+        assert select.select([child.pipe], [], [], 60)[0]
+        os.kill(child.pid, signal.SIGKILL)
+        with pytest.raises(ChildProcessError, match="the process scanning a test ended "
+                                                    "without an answer: killed by signal 9"):
+            child.answer("a test")
+        assert child.pid is None
 
 
 def test_in_process_runs_release_their_context():
