@@ -17,8 +17,8 @@ boundaries, one a CPU the process may use (``--threads`` workers for
 temporary file by a child forked after the tables are built
 (``engine.forked``, which also runs a batch run's chunks), and appended
 in order.  Series ids are checked before they go into a file name.
-Exit status is 0 only when the requested computation completed; aborted
-runs leave their partial output renamed with a .partial suffix.
+Exit status is 0 only when the requested computation completed; each file
+is written as NAME.partial and renamed to NAME only once complete.
 """
 from __future__ import annotations
 
@@ -84,28 +84,29 @@ def _default_workers() -> int:
 
 @contextmanager
 def _guarded_output(path: Path, mode: str = "w"):
-    """Open for writing; on any failure rename the partial file aside."""
-    handle = open(path, mode)
+    """Write ``path`` as ``path.partial``, renamed to ``path`` once the block
+    completes; on any failure the partial file stays and ``path`` is untouched."""
+    partial = path.with_name(path.name + ".partial")
+    handle = open(partial, mode)
     try:
         with handle:
             yield handle
     except BaseException:
-        partial = path.with_name(path.name + ".partial")
-        try:
-            os.replace(path, partial)
-            print(f"aborted; partial output moved to {partial}", file=sys.stderr)
-        except OSError:
-            pass
+        print(f"aborted; partial output moved to {partial}", file=sys.stderr)
         raise
+    os.replace(partial, path)
+
+
+def _synth_spec(args) -> SynthSpec:
+    lo, hi = args.range if args.range else DEFAULT_RANGES[args.function]
+    return SynthSpec(args.function, lo, hi, args.pieces)
 
 
 def _load(args) -> Dataset:
     if getattr(args, "function", None):
         if args.input:
             raise SystemExit("give either --input or --function, not both")
-        lo, hi = args.range if args.range else DEFAULT_RANGES[args.function]
-        ds = synth_dataset(SynthSpec(args.function, lo, hi, args.pieces))
-        return ds
+        return synth_dataset(_synth_spec(args))
     if not args.input:
         raise SystemExit("an --input dataset (or --function) is required")
     ds = load_dataset(args.input, delimiter=args.delimiter, header=args.header)
@@ -122,41 +123,32 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise SystemExit(f"--range expects LO:HI, got {text!r}")
 
 
-def _precision(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _workers(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-def _job_config(args) -> JobConfig:
-    return JobConfig(
-        m=args.min_part,
-        workers=args.threads or _default_workers(),
-        filter=parse_filter(args.filter) if args.filter else (),
-    )
+def _integer(least: int):
+    """An argparse type: a decimal integer of at least ``least``, 0 or 1."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            kind = ("non-negative", "positive")[least]
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _progress_printer(label: str):
-    state = {"last": 0, "t0": time.perf_counter()}
+    """A progress callback that prints a line after PROGRESS_EVERY more pairs,
+    after 10 s without a line, and at the end."""
+    t0 = shown = time.perf_counter()
+    last = 0
 
     def report(done: int, total: int) -> None:
-        if done - state["last"] < PROGRESS_EVERY and done < total:
+        nonlocal last, shown
+        now = time.perf_counter()
+        if done - last < PROGRESS_EVERY and now - shown < 10 and done < total:
             return
-        state["last"] = done
-        elapsed = time.perf_counter() - state["t0"]
-        rate = done / elapsed if elapsed > 0 else 0.0
+        last, shown = done, now
+        rate = done / (now - t0) if now > t0 else 0.0
         eta = (total - done) / rate if rate > 0 else float("inf")
-        print(
-            f"{label}: {done}/{total} pairs ({100.0 * done / total:.1f}%), "
-            f"{rate:.0f} pairs/s, eta {eta:.0f} s",
-            file=sys.stderr,
-        )
+        print(f"{label}: {done}/{total} pairs ({100.0 * done / total:.1f}%), "
+              f"{rate:.0f} pairs/s, eta {eta:.0f} s", file=sys.stderr)
 
     return report
 
@@ -169,8 +161,16 @@ def _check_file_ids(ids) -> None:
                              "it is . or .. or holds a path separator")
 
 
-def _distribution_path(outdir: Path, dataset: str, id_a: str, id_b: str, spec: CompositionSpec) -> Path:
-    return outdir / f"Output.{dataset}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt"
+def _one_pair(ds: Dataset, m: int, ids, prefix, path: str | None = None, options=ScanOptions()):
+    """A one-pair file's path and scan: ``path``, else PREFIX.DATASET.A.B.nN.mM.txt
+    for ids that can be part of a file name.  An unknown id fails first, and
+    every check before any file is opened."""
+    spec = CompositionSpec(ds.n, m)
+    a, b = (ds.get(name) for name in ids)
+    if not path:
+        _check_file_ids(ids)
+        path = f"{prefix}.{ds.name}.{ids[0]}.{ids[1]}.n{spec.n}.m{spec.m}.txt"
+    return Path(path), PairScan(a, b, spec, options)
 
 
 def _cpus() -> int:
@@ -222,7 +222,6 @@ def _write_lines(path: Path, header: bytes, spec: CompositionSpec, job, processe
                 for batches, child, file in zip(cuts[1:], children, files):
                     answer = child.answer(f"compositions {batches[0][0]} to {batches[-1][1] - 1}")
                     # the part's lines, up to its failure if it failed
-                    out.flush()
                     offset = 0
                     while copied := os.copy_file_range(file.fileno(), out.fileno(), 1 << 30, offset):
                         offset += copied
@@ -240,7 +239,7 @@ def _write_lines(path: Path, header: bytes, spec: CompositionSpec, job, processe
 
 
 def _run_part(job, batches, render, out):
-    """Scan one part and write its lines to ``out``: its answer and line count."""
+    """Scan one part and write its lines to ``out``, flushed: its answer and line count."""
     done = 0
 
     def sink(offset: int, *columns) -> None:
@@ -250,16 +249,15 @@ def _run_part(job, batches, render, out):
             out.write(render(offset + at, *(col[at:at + BLOCK_LINES] for col in columns)))
         done += count
 
-    return job.run(batches, sink), done
+    try:
+        return job.run(batches, sink), done
+    finally:
+        out.flush()
 
 
 def _part(job, batches, render, file):
-    """A child's part: its lines into ``file``, flushed, then its answer."""
-    try:
-        answer = _run_part(job, batches, render, file)
-    finally:
-        file.flush()
-    yield answer
+    """A child's part: its lines into ``file``, then its answer."""
+    yield _run_part(job, batches, render, file)
 
 
 def _write_distribution(path: Path, spec: CompositionSpec, precision: int, job, processes: int = 1):
@@ -307,28 +305,26 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    lo, hi = args.range if args.range else DEFAULT_RANGES[args.function]
-    spec = SynthSpec(args.function, lo, hi, args.pieces)
+    spec = _synth_spec(args)
     ds = synth_dataset(spec)
-    out = Path(args.output) if args.output else Path(f"{args.function}.n{ds.n}.tsv")
+    out = Path(args.output or f"{args.function}.n{ds.n}.tsv")
     write_dataset(ds, out)
-    print(f"wrote {out}: series x, {args.function} over [{lo:g}, {hi:g}], {ds.n} observations")
+    print(f"wrote {out}: series x, {args.function} over [{spec.x_min:g}, {spec.x_max:g}], "
+          f"{ds.n} observations")
     return 0
 
 
 def _cmd_pair(args) -> int:
+    if args.id_b is None and not args.function:
+        raise SystemExit("pair needs two series ids (or --function)")
+    ids = (args.id_a, args.function if args.id_b is None else args.id_b)
     ds = _load(args)
-    spec = CompositionSpec(ds.n, args.min_part)
-    id_a, id_b = args.id_a, args.id_b
-    a, b = ds.get(id_a), ds.get(id_b)  # an unknown id fails before any file is opened
-    _check_file_ids((id_a, id_b))
-    outdir = Path(args.output) if args.output else Path(".")
+    outdir = Path(args.output or ".")
+    dist_path, job = _one_pair(ds, args.min_part, ids, outdir / "Output")
     outdir.mkdir(parents=True, exist_ok=True)
-    dist_path = _distribution_path(outdir, ds.name, id_a, id_b, spec)
-    result = _write_distribution(dist_path, spec, args.precision, PairScan(a, b, spec), _cpus())
-
-    p = args.precision
-    print(f"pair {id_a} vs {id_b}: n={spec.n} m={spec.m} "
+    spec, a, b, p = job.spec, job.a, job.b, args.precision
+    result = _write_distribution(dist_path, spec, p, job, _cpus())
+    print(f"pair {ids[0]} vs {ids[1]}: n={spec.n} m={spec.m} "
           f"compositions={result.n_compositions} evaluated={result.n_evaluated} "
           f"undefined={result.n_undefined}")
     print(f"HCC {format_number(result.hcc, p)}  BCC {format_composition(result.bcc)}")
@@ -346,29 +342,26 @@ def _cmd_pair(args) -> int:
 
 def _cmd_clouds(args) -> int:
     ds = _load(args)
-    spec = CompositionSpec(ds.n, args.min_part)
     ids = ds.ids()
-    id_a = args.id_a or ids[0]
-    id_b = args.id_b or (ids[1] if len(ids) > 1 else ids[0])
-    a, b = ds.get(id_a), ds.get(id_b)
-    if args.output:
-        out = Path(args.output)
-    else:
-        _check_file_ids((id_a, id_b))
-        out = Path(f"Clouds.{ds.name}.{id_a}.{id_b}.n{spec.n}.m{spec.m}.txt")
-    result = _write_clouds(out, spec, args.precision, PairScan(a, b, spec, ScanOptions(clouds=True)),
-                           _cpus())
-    print(f"wrote {out}: {result.n_compositions} compositions "
-          f"({result.n_undefined} undefined)")
+    pair = (args.id_a or ids[0], args.id_b or ids[min(1, len(ids) - 1)])
+    out, job = _one_pair(ds, args.min_part, pair, "Clouds", args.output, ScanOptions(clouds=True))
+    result = _write_clouds(out, job.spec, args.precision, job, _cpus())
+    print(f"wrote {out}: {result.n_compositions} compositions ({result.n_undefined} undefined)")
     return 0
 
 
-def _cmd_all_pairs(args) -> int:
-    config = _job_config(args)
+def _batch(args, prefix: str):
+    """A batch run's config, dataset and record file path (--output, else
+    PREFIX.DATASET.nN.mM.tsv); the filter is checked before the dataset loads."""
+    config = JobConfig(m=args.min_part, workers=args.threads or _default_workers(),
+                       filter=parse_filter(args.filter) if args.filter else ())
     ds = _load(args)
-    spec = CompositionSpec(ds.n, args.min_part)
-    out = Path(args.output) if args.output else Path(f"Pairs.{ds.name}.n{spec.n}.m{spec.m}.tsv")
-    p = args.precision
+    spec = CompositionSpec(ds.n, config.m)  # a series too short for m fails here
+    return config, ds, Path(args.output or f"{prefix}.{ds.name}.n{spec.n}.m{spec.m}.tsv")
+
+
+def _cmd_all_pairs(args) -> int:
+    config, ds, out = _batch(args, "Pairs")
     if args.emit_distribution:
         _check_file_ids(ds.ids())
     kept: list[tuple[str, str]] = []
@@ -382,27 +375,22 @@ def _cmd_all_pairs(args) -> int:
                 kept.extend((ids[a], ids[b]) for a, b in zip(records.a.tolist(), records.b.tolist()))
 
         summary = run_all_pairs(ds, config, sink, progress=_progress_printer("all-pairs"),
-                                precision=p)
+                                precision=args.precision)
     print(f"wrote {out}")
     print(summary.describe())
     if args.emit_distribution:
-        outdir = out.parent
-        for id_a, id_b in kept:
-            _write_distribution(_distribution_path(outdir, ds.name, id_a, id_b, spec), spec, p,
-                                PairScan(ds.get(id_a), ds.get(id_b), spec), config.workers)
-        print(f"wrote {len(kept)} distribution files to {outdir}")
+        for pair in kept:
+            path, job = _one_pair(ds, config.m, pair, out.parent / "Output")
+            _write_distribution(path, job.spec, args.precision, job, config.workers)
+        print(f"wrote {len(kept)} distribution files to {out.parent}")
     return 0
 
 
 def _cmd_time_corr(args) -> int:
-    config = _job_config(args)
-    ds = _load(args)
-    spec = CompositionSpec(ds.n, args.min_part)
-    out = Path(args.output) if args.output else Path(f"TimeCorr.{ds.name}.n{spec.n}.m{spec.m}.tsv")
+    config, ds, out = _batch(args, "TimeCorr")
     records = run_versus_time(ds, config, progress=_progress_printer("time-corr"))
     with _guarded_output(out) as fh:
-        fh.write(RECORD_HEADER + "\n")
-        fh.write(records.render(args.precision))
+        fh.write(RECORD_HEADER + "\n" + records.render(args.precision))
     print(f"wrote {out}: {len(records)} records "
           f"(labels {'from dataset' if ds.time_labels is not None else 'index 0..n-1'})")
     return 0
@@ -411,26 +399,31 @@ def _cmd_time_corr(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_io_flags(sp, with_synth=False):
+def _add_synth_flags(sp, required=False):
+    sp.add_argument("--function", choices=sorted(FUNCTIONS), required=required,
+                    help="stock curve that generates the pair (x, f(x))")
+    sp.add_argument("--range", type=_parse_range, default=None, metavar="LO:HI",
+                    help="x range for --function (default: the curve's calibrated range)")
+    sp.add_argument("--pieces", type=int, default=30,
+                    help="grid pieces for --function; series length is pieces+1 (default 30)")
+
+
+def _scan_command(sub, name: str, fn, about: str, default_m: int, synth=False):
+    """A subcommand that scans a dataset, with its input and output flags."""
+    sp = sub.add_parser(name, help=about)
+    sp.set_defaults(fn=fn)
     sp.add_argument("--input", help="dataset file (rows: id then observations)")
     sp.add_argument("--delimiter", default=None, help="field delimiter (default: sniff tab/comma/semicolon)")
     sp.add_argument("--header", choices=("auto", "yes", "no"), default="auto",
                     help="whether the first row is a header (default: auto-detect)")
-    if with_synth:
-        sp.add_argument("--function", choices=sorted(FUNCTIONS),
-                        help="generate the pair from a stock curve instead of --input")
-        sp.add_argument("--range", type=_parse_range, default=None, metavar="LO:HI",
-                        help="x range for --function (default: the curve's calibrated range)")
-        sp.add_argument("--pieces", type=int, default=30,
-                        help="grid pieces for --function; series length is pieces+1 (default 30)")
-
-
-def _add_scan_flags(sp, default_m):
+    if synth:
+        _add_synth_flags(sp)
     sp.add_argument("--min-part", type=int, default=default_m, metavar="M",
                     help=f"minimum part length m (default {default_m})")
-    sp.add_argument("--precision", type=_precision, default=6,
+    sp.add_argument("--precision", type=_integer(0), default=6,
                     help="decimals for reals in output (default 6)")
     sp.add_argument("--output", help="output path (default: derived name in the working directory)")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,53 +439,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_count)
 
     sp = sub.add_parser("synth", help="write a synthetic (x, f(x)) dataset")
-    sp.add_argument("--function", choices=sorted(FUNCTIONS), required=True)
-    sp.add_argument("--range", type=_parse_range, default=None, metavar="LO:HI")
-    sp.add_argument("--pieces", type=int, default=30)
+    _add_synth_flags(sp, required=True)
     sp.add_argument("--output")
     sp.set_defaults(fn=_cmd_synth)
 
-    sp = sub.add_parser("pair", help="full composition scan of one pair; writes the distribution file")
-    sp.add_argument("id_a", nargs="?", default="x", help="first series id (default: x, for --function)")
-    sp.add_argument("id_b", nargs="?", default=None, help="second series id")
-    _add_io_flags(sp, with_synth=True)
-    _add_scan_flags(sp, default_m=2)
-    sp.set_defaults(fn=_cmd_pair_wrapper)
+    for name, fn, about, first in (
+            ("pair", _cmd_pair, "full composition scan of one pair; writes the distribution file", "x"),
+            ("clouds", _cmd_clouds, "per-composition (r_c, var, cov) point cloud of one pair", None)):
+        sp = _scan_command(sub, name, fn, about, default_m=2, synth=True)
+        sp.add_argument("id_a", nargs="?", default=first,
+                        help=f"first series id (default: {first or 'the first series'})")
+        sp.add_argument("id_b", nargs="?", default=None, help="second series id")
 
-    sp = sub.add_parser("clouds", help="per-composition (r_c, var, cov) point cloud of one pair")
-    sp.add_argument("id_a", nargs="?", default=None)
-    sp.add_argument("id_b", nargs="?", default=None)
-    _add_io_flags(sp, with_synth=True)
-    _add_scan_flags(sp, default_m=2)
-    sp.set_defaults(fn=_cmd_clouds)
-
-    sp = sub.add_parser("all-pairs", help="scan every pair of the dataset")
-    _add_io_flags(sp)
-    _add_scan_flags(sp, default_m=4)
-    sp.add_argument("--threads", type=_workers,
-                    help="worker processes (default: COMP_CORR_THREADS or the cpu count)")
-    sp.add_argument("--filter", help="e.g. 'hcc>0.9 AND abs(pearson)<0.1'")
-    sp.add_argument("--emit-distribution", action="store_true",
-                    help="also write a distribution file for each record passing the filter")
-    sp.set_defaults(fn=_cmd_all_pairs)
-
-    sp = sub.add_parser("time-corr", help="scan each series against time")
-    _add_io_flags(sp)
-    _add_scan_flags(sp, default_m=2)
-    sp.add_argument("--threads", type=_workers,
-                    help="worker processes (default: COMP_CORR_THREADS or the cpu count)")
-    sp.add_argument("--filter", help="e.g. 'hcc>0.9 AND abs(pearson)<0.1'")
-    sp.set_defaults(fn=_cmd_time_corr)
+    for name, fn, about, default_m in (
+            ("all-pairs", _cmd_all_pairs, "scan every pair of the dataset", 4),
+            ("time-corr", _cmd_time_corr, "scan each series against time", 2)):
+        sp = _scan_command(sub, name, fn, about, default_m)
+        sp.add_argument("--threads", type=_integer(1),
+                        help="worker processes (default: COMP_CORR_THREADS or the cpu count)")
+        sp.add_argument("--filter", help="e.g. 'hcc>0.9 AND abs(pearson)<0.1'")
+        if fn is _cmd_all_pairs:
+            sp.add_argument("--emit-distribution", action="store_true",
+                            help="also write a distribution file for each record passing the filter")
 
     return ap
-
-
-def _cmd_pair_wrapper(args) -> int:
-    if args.function and args.id_b is None:
-        args.id_b = args.function
-    if args.id_b is None:
-        raise SystemExit("pair needs two series ids (or --function)")
-    return _cmd_pair(args)
 
 
 def main(argv=None) -> int:

@@ -81,7 +81,16 @@ from .segments import (
 
 CHUNK_PAIRS = 8192          # most pairs per chunk
 _CHUNK_EVALS = 2 ** 26      # most pair x composition evaluations a chunk of more than one pair holds
-_CELL_BUDGET = 4_194_304    # max cells of a batch's (compositions x columns) product
+# Most cells of a batch's (compositions x columns) product, which sets a
+# span's width, J pairs.  Set by speed, not memory.  Without the
+# variance-sum table the product is 2J + 1 columns, and narrow spans run
+# fastest: 2^19 cells give J = 15 at m=2 and n >= 22.  run_versus_time on
+# 200 walks at n=31 (1 worker, 3 runs) took 3.8-4.3 s at J = 8, 4.0-4.2 s
+# at 15, 4.2-4.3 s at 31 and 4.7-5.3 s at 127.  With the table it is J
+# columns, and wide spans run faster: all-pairs on 60 walks at n=28 took
+# 7.5-8.8 s at J = 32 and 5.6-6.1 s in whole rows.
+_CELL_BUDGET = 524_288          # without the variance-sum table
+_TABLE_CELL_BUDGET = 4_194_304  # with it
 _VAR_SUM_BUDGET = 25_000_000  # max cells of the per-series variance-sum table
 
 TIME_ID = "time"
@@ -430,7 +439,9 @@ class Records(Sequence):
     def __len__(self) -> int:
         return len(self.a)
 
-    def __getitem__(self, k: int) -> PairRecord:
+    def __getitem__(self, k):
+        if isinstance(k, slice):  # the records of the slice, as list(self)[k] gives them
+            return list(self._records([col[k] for col in self.columns]))
         k = range(len(self))[k]  # negative indices and IndexError as for a list
         return next(self._records([col[k:k + 1] for col in self.columns]))
 
@@ -523,8 +534,9 @@ class _Ctx:
         self.keep_var_sums = S > 2 and S * self.ncomp <= _VAR_SUM_BUDGET
         # a batch's product is J columns wide with the variance sums kept,
         # else 2J + 1: row i's self sums, the J rows' and the J cross sums
-        cells = _CELL_BUDGET // min(self.ncomp, _blocks.BLOCK_ROWS)
-        self.j_step = max(1, cells if self.keep_var_sums else (cells - 1) // 2)
+        rows = min(self.ncomp, _blocks.BLOCK_ROWS)
+        self.j_step = max(1, _TABLE_CELL_BUDGET // rows if self.keep_var_sums
+                          else (_CELL_BUDGET // rows - 1) // 2)
         self.var_sums = None
         self.ids = tuple(ids)
         self.parts = _Parts(self.spec)
