@@ -18,12 +18,14 @@ temporary file by a child forked after the tables are built
 (``engine.forked``, which also runs a batch run's chunks), and appended
 in order.  Series ids are checked before they go into a file name.
 Exit status is 0 only when the requested computation completed; each file
-is written as NAME.partial and renamed to NAME only once complete.
+is written as NAME.partial and renamed to NAME only once complete, or
+in place where NAME exists as other than a regular file.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -85,16 +87,23 @@ def _default_workers() -> int:
 @contextmanager
 def _guarded_output(path: Path, mode: str = "w"):
     """Write ``path`` as ``path.partial``, renamed to ``path`` once the block
-    completes; on any failure the partial file stays and ``path`` is untouched."""
-    partial = path.with_name(path.name + ".partial")
-    handle = open(partial, mode)
+    completes; on any failure the partial file stays and ``path`` is untouched.
+    A ``path`` that exists as other than a regular file (a symlink, a device,
+    a FIFO, a directory) is opened and written in place, as it is."""
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    target = path if in_place else path.with_name(path.name + ".partial")
+    handle = open(target, mode)
     try:
         with handle:
             yield handle
     except BaseException:
-        print(f"aborted; partial output moved to {partial}", file=sys.stderr)
+        print(f"aborted; partial output left in {target}", file=sys.stderr)
         raise
-    os.replace(partial, path)
+    if not in_place:
+        os.replace(target, path)
 
 
 def _synth_spec(args) -> SynthSpec:
@@ -123,13 +132,15 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise SystemExit(f"--range expects LO:HI, got {text!r}")
 
 
-def _integer(least: int):
-    """An argparse type: a decimal integer of at least ``least``, 0 or 1."""
+def _integer(positive: bool):
+    """An argparse type: a positive, else non-negative, decimal integer."""
+    kind = "positive" if positive else "non-negative"
+
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < least:
-            kind = ("non-negative", "positive")[least]
+        if not text.isdecimal() or int(text) < positive:
             raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
         return int(text)
+
     return parse
 
 
@@ -147,8 +158,11 @@ def _progress_printer(label: str):
         last, shown = done, now
         rate = done / (now - t0) if now > t0 else 0.0
         eta = (total - done) / rate if rate > 0 else float("inf")
-        print(f"{label}: {done}/{total} pairs ({100.0 * done / total:.1f}%), "
-              f"{rate:.0f} pairs/s, eta {eta:.0f} s", file=sys.stderr)
+        print(
+            f"{label}: {done}/{total} pairs ({100.0 * done / total:.1f}%), "
+            f"{rate:.0f} pairs/s, eta {eta:.0f} s",
+            file=sys.stderr,
+        )
 
     return report
 
@@ -322,7 +336,7 @@ def _cmd_pair(args) -> int:
     outdir = Path(args.output or ".")
     dist_path, job = _one_pair(ds, args.min_part, ids, outdir / "Output")
     outdir.mkdir(parents=True, exist_ok=True)
-    spec, a, b, p = job.spec, job.a, job.b, args.precision
+    spec, p = job.spec, args.precision
     result = _write_distribution(dist_path, spec, p, job, _cpus())
     print(f"pair {ids[0]} vs {ids[1]}: n={spec.n} m={spec.m} "
           f"compositions={result.n_compositions} evaluated={result.n_evaluated} "
@@ -333,7 +347,7 @@ def _cmd_pair(args) -> int:
     for label, parts in (("BCC", result.bcc), ("WCC", result.wcc)):
         if parts is None:
             continue
-        rs = [pearson(a.values[end - k:end], b.values[end - k:end])
+        rs = [pearson(job.a.values[end - k:end], job.b.values[end - k:end])
               for end, k in zip(accumulate(parts), parts)]
         print(f"{label} part r: " + " ".join(format_number(r, p) for r in rs))
     print(f"wrote {dist_path}")
@@ -343,7 +357,7 @@ def _cmd_pair(args) -> int:
 def _cmd_clouds(args) -> int:
     ds = _load(args)
     ids = ds.ids()
-    pair = (args.id_a or ids[0], args.id_b or ids[min(1, len(ids) - 1)])
+    pair = (args.id_a or ids[0], args.id_b or (ids[1] if len(ids) > 1 else ids[0]))
     out, job = _one_pair(ds, args.min_part, pair, "Clouds", args.output, ScanOptions(clouds=True))
     result = _write_clouds(out, job.spec, args.precision, job, _cpus())
     print(f"wrote {out}: {result.n_compositions} compositions ({result.n_undefined} undefined)")
@@ -390,7 +404,8 @@ def _cmd_time_corr(args) -> int:
     config, ds, out = _batch(args, "TimeCorr")
     records = run_versus_time(ds, config, progress=_progress_printer("time-corr"))
     with _guarded_output(out) as fh:
-        fh.write(RECORD_HEADER + "\n" + records.render(args.precision))
+        fh.write(RECORD_HEADER + "\n")
+        fh.write(records.render(args.precision))
     print(f"wrote {out}: {len(records)} records "
           f"(labels {'from dataset' if ds.time_labels is not None else 'index 0..n-1'})")
     return 0
@@ -420,10 +435,16 @@ def _scan_command(sub, name: str, fn, about: str, default_m: int, synth=False):
         _add_synth_flags(sp)
     sp.add_argument("--min-part", type=int, default=default_m, metavar="M",
                     help=f"minimum part length m (default {default_m})")
-    sp.add_argument("--precision", type=_integer(0), default=6,
+    sp.add_argument("--precision", type=_integer(positive=False), default=6,
                     help="decimals for reals in output (default 6)")
     sp.add_argument("--output", help="output path (default: derived name in the working directory)")
     return sp
+
+
+def _add_batch_flags(sp):
+    sp.add_argument("--threads", type=_integer(positive=True),
+                    help="worker processes (default: COMP_CORR_THREADS or the cpu count)")
+    sp.add_argument("--filter", help="e.g. 'hcc>0.9 AND abs(pearson)<0.1'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,24 +464,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output")
     sp.set_defaults(fn=_cmd_synth)
 
-    for name, fn, about, first in (
-            ("pair", _cmd_pair, "full composition scan of one pair; writes the distribution file", "x"),
-            ("clouds", _cmd_clouds, "per-composition (r_c, var, cov) point cloud of one pair", None)):
-        sp = _scan_command(sub, name, fn, about, default_m=2, synth=True)
-        sp.add_argument("id_a", nargs="?", default=first,
-                        help=f"first series id (default: {first or 'the first series'})")
-        sp.add_argument("id_b", nargs="?", default=None, help="second series id")
+    sp = _scan_command(sub, "pair", _cmd_pair,
+                       "full composition scan of one pair; writes the distribution file", 2, synth=True)
+    sp.add_argument("id_a", nargs="?", default="x", help="first series id (default: x, for --function)")
+    sp.add_argument("id_b", nargs="?", default=None, help="second series id")
 
-    for name, fn, about, default_m in (
-            ("all-pairs", _cmd_all_pairs, "scan every pair of the dataset", 4),
-            ("time-corr", _cmd_time_corr, "scan each series against time", 2)):
-        sp = _scan_command(sub, name, fn, about, default_m)
-        sp.add_argument("--threads", type=_integer(1),
-                        help="worker processes (default: COMP_CORR_THREADS or the cpu count)")
-        sp.add_argument("--filter", help="e.g. 'hcc>0.9 AND abs(pearson)<0.1'")
-        if fn is _cmd_all_pairs:
-            sp.add_argument("--emit-distribution", action="store_true",
-                            help="also write a distribution file for each record passing the filter")
+    sp = _scan_command(sub, "clouds", _cmd_clouds,
+                       "per-composition (r_c, var, cov) point cloud of one pair", 2, synth=True)
+    sp.add_argument("id_a", nargs="?", default=None, help="first series id (default: the first series)")
+    sp.add_argument("id_b", nargs="?", default=None, help="second series id (default: the second series)")
+
+    sp = _scan_command(sub, "all-pairs", _cmd_all_pairs, "scan every pair of the dataset", 4)
+    _add_batch_flags(sp)
+    sp.add_argument("--emit-distribution", action="store_true",
+                    help="also write a distribution file for each record passing the filter")
+
+    _add_batch_flags(_scan_command(sub, "time-corr", _cmd_time_corr, "scan each series against time", 2))
 
     return ap
 

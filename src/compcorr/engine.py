@@ -82,14 +82,17 @@ from .segments import (
 CHUNK_PAIRS = 8192          # most pairs per chunk
 _CHUNK_EVALS = 2 ** 26      # most pair x composition evaluations a chunk of more than one pair holds
 # Most cells of a batch's (compositions x columns) product, which sets a
-# span's width, J pairs.  Set by speed, not memory.  Without the
-# variance-sum table the product is 2J + 1 columns, and narrow spans run
-# fastest: 2^19 cells give J = 15 at m=2 and n >= 22.  run_versus_time on
-# 200 walks at n=31 (1 worker, 3 runs) took 3.8-4.3 s at J = 8, 4.0-4.2 s
-# at 15, 4.2-4.3 s at 31 and 4.7-5.3 s at 127.  With the table it is J
-# columns, and wide spans run faster: all-pairs on 60 walks at n=28 took
-# 7.5-8.8 s at J = 32 and 5.6-6.1 s in whole rows.
-_CELL_BUDGET = 524_288          # without the variance-sum table
+# span's width, J pairs.  Both caps are set by speed, not memory; ROADMAP
+# item 7 has the runs (in-process, 1 worker, m=2).  Without the
+# variance-sum table the product is 2J + 1 columns, and 2^20 cells give
+# J = 31 at n >= 22.  Against J = 31, J = 15 made all-pairs 6% slower on
+# 200 walks at n=23 and on 32 walks at n=31, and J = 127 made time-corr
+# on 200 walks 14% slower at n=28 and 28% at n=31, at 2.4 and 1.7 times
+# the peak RSS.  With the table the product is J columns, and whole rows
+# measured fastest: all-pairs on 200 walks at n=26 took 26-28 s at
+# J = 64 against 21 s at 4M cells, and on 60 walks at n=28 7.5-8.8 s at
+# J = 32 against 5.6-6.1 s.
+_CELL_BUDGET = 1 << 20          # without the variance-sum table
 _TABLE_CELL_BUDGET = 4_194_304  # with it
 _VAR_SUM_BUDGET = 25_000_000  # max cells of the per-series variance-sum table
 

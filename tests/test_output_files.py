@@ -1,8 +1,10 @@
-"""Output files are written whole or not at all, and progress shows on slow runs."""
+"""Output files are written whole or not at all, targets other than regular
+files are written in place, and progress shows on slow runs."""
 import contextlib
 import io
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -84,6 +86,51 @@ def test_a_successful_rerun_replaces_a_stale_partial(tmp_path, monkeypatch):
     assert code == 0
     assert not Path("tc.tsv.partial").exists()
     assert Path("tc.tsv").read_text().startswith(engine.RECORD_HEADER + "\n")
+
+
+def test_a_symlinked_output_is_written_through_and_stays_a_symlink(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    walks(tmp_path / "w.tsv", 5, 23, "w")
+    argv = ["all-pairs", "--input", "w.tsv", "--threads", "1", "--output"]
+    assert run(argv + ["plain.tsv"])[0] == 0
+    Path("real.tsv").write_text("old\n")
+    Path("link.tsv").symlink_to("real.tsv")
+    assert run(argv + ["link.tsv"])[0] == 0
+    assert Path("link.tsv").is_symlink() and os.readlink("link.tsv") == "real.tsv"
+    assert Path("real.tsv").read_bytes() == Path("plain.tsv").read_bytes()
+    assert not Path("link.tsv.partial").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="writes into a FIFO")
+def test_a_fifo_output_is_written_in_place_and_stays_a_fifo(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    walks(tmp_path / "w.tsv", 4, 23, "w")
+    os.mkfifo("tc.fifo")
+    # a reader opened without blocking lets the run open the FIFO at once;
+    # the few lines written wait in the pipe
+    fd = os.open("tc.fifo", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = run(["time-corr", "--input", "w.tsv", "--threads", "1", "--output", "tc.fifo"])
+        read = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert code == 0
+    assert stat.S_ISFIFO(os.lstat("tc.fifo").st_mode)
+    assert not Path("tc.fifo.partial").exists()
+    assert run(["time-corr", "--input", "w.tsv", "--threads", "1", "--output", "tc.tsv"])[0] == 0
+    assert read == Path("tc.tsv").read_bytes()
+
+
+def test_all_pairs_into_a_directory_fails_before_the_scan(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    walks(tmp_path / "w.tsv", 4, 23, "w")
+    Path("out").mkdir()
+    scans = []
+    monkeypatch.setattr(cli, "run_all_pairs", lambda *args, **kwargs: scans.append(args))
+    code, _, err = run(["all-pairs", "--input", "w.tsv", "--threads", "1", "--output", "out"])
+    assert code == 1 and "Is a directory" in err
+    assert scans == []
+    assert Path("out").is_dir() and not Path("out.partial").exists()
 
 
 def test_progress_prints_after_ten_seconds_without_a_line(monkeypatch, capsys):
