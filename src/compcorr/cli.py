@@ -16,10 +16,10 @@ boundaries, one a CPU the process may use (``--threads`` workers for
 ``--emit-distribution``), each part but the first written into a
 temporary file by a child forked after the tables are built
 (``engine.forked``, which also runs a batch run's chunks), and appended
-in order.  Series ids are checked before they go into a file name.
-Exit status is 0 only when the requested computation completed; each file
-is written as NAME.partial and renamed to NAME only once complete, or
-in place where NAME exists as other than a regular file.
+in order, or into a pipe or a device in one part.  Series ids are checked
+before they go into a file name.  Exit status is 0 only when the requested
+computation completed.  Every output opens before any scan through
+``_guarded_output``, which makes its directory and writes it atomically.
 """
 from __future__ import annotations
 
@@ -86,10 +86,11 @@ def _default_workers() -> int:
 
 @contextmanager
 def _guarded_output(path: Path, mode: str = "w"):
-    """Write ``path`` as ``path.partial``, renamed to ``path`` once the block
-    completes; on any failure the partial file stays and ``path`` is untouched.
-    A ``path`` that exists as other than a regular file (a symlink, a device,
-    a FIFO, a directory) is opened and written in place, as it is."""
+    """Open an output, in a directory made if missing, as ``path.partial``,
+    renamed to ``path`` once the block completes; on any failure the partial
+    file stays and ``path`` is untouched.  A ``path`` that exists as other than
+    a regular file (a symlink, a device, a FIFO, a directory) is opened in place."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         in_place = not stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
@@ -211,21 +212,22 @@ def _write_lines(path: Path, header: bytes, spec: CompositionSpec, job, processe
 
     ``job`` is an ``engine.PairScan``.  Its batches are cut into
     :func:`_part_count` parts (``job.cut``), contiguous runs of near-equal
-    size.  Part 0 runs here and writes into the file; every other part runs
-    in a forked child (``engine.forked``) and writes into an unnamed
-    temporary file in the output's directory, opened before the fork, which
-    is appended in part order when the part is done.  Each part hands its
-    batches, as they arrive, to a sink that writes them straight from the
-    kernel's arrays in slices of at most BLOCK_LINES lines:
-    ``render(first, *columns)`` gives a slice's text, ``first`` being its
-    first canonical composition index.  So memory is one batch and one
-    slice a process, whatever n.  The parts' answers are folded by
-    ``job.result``, which is returned.  A scan that fails in any part, or
-    hands over other than every composition, leaves a .partial file of
-    every line delivered before the failure.
+    size; into an output that is not a regular file, one part.  Part 0 runs
+    here and writes into the file; every other part runs in a forked child
+    (``engine.forked``) and writes into an unnamed temporary file in the
+    output's directory, opened before the fork, which is appended in part
+    order when the part is done.  Each part hands its batches, as they
+    arrive, to a sink that writes them straight from the kernel's arrays in
+    slices of at most BLOCK_LINES lines: ``render(first, *columns)`` gives
+    a slice's text, ``first`` being its first canonical composition index.
+    So memory is one batch and one slice a process, whatever n.  The parts'
+    answers are folded by ``job.result``, which is returned.  A scan that
+    fails in any part, or hands over other than every composition, leaves
+    a .partial file of every line delivered before the failure.
     """
-    cuts = job.cut(_part_count(len(job.batches), processes))
     with _guarded_output(path, "wb") as out:
+        regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+        cuts = job.cut(_part_count(len(job.batches), processes) if regular else 1)
         out.write(header)
         out.flush()
         files = [tempfile.TemporaryFile(dir=path.parent) for _ in cuts[1:]]
@@ -333,9 +335,7 @@ def _cmd_pair(args) -> int:
         raise SystemExit("pair needs two series ids (or --function)")
     ids = (args.id_a, args.function if args.id_b is None else args.id_b)
     ds = _load(args)
-    outdir = Path(args.output or ".")
-    dist_path, job = _one_pair(ds, args.min_part, ids, outdir / "Output")
-    outdir.mkdir(parents=True, exist_ok=True)
+    dist_path, job = _one_pair(ds, args.min_part, ids, Path(args.output or ".") / "Output")
     spec, p = job.spec, args.precision
     result = _write_distribution(dist_path, spec, p, job, _cpus())
     print(f"pair {ids[0]} vs {ids[1]}: n={spec.n} m={spec.m} "
@@ -402,9 +402,9 @@ def _cmd_all_pairs(args) -> int:
 
 def _cmd_time_corr(args) -> int:
     config, ds, out = _batch(args, "TimeCorr")
-    records = run_versus_time(ds, config, progress=_progress_printer("time-corr"))
     with _guarded_output(out) as fh:
         fh.write(RECORD_HEADER + "\n")
+        records = run_versus_time(ds, config, progress=_progress_printer("time-corr"))
         fh.write(records.render(args.precision))
     print(f"wrote {out}: {len(records)} records "
           f"(labels {'from dataset' if ds.time_labels is not None else 'index 0..n-1'})")

@@ -1,5 +1,6 @@
-"""Output files are written whole or not at all, targets other than regular
-files are written in place, and progress shows on slow runs."""
+"""Output files are written whole or not at all, into a directory made if
+missing; targets other than regular files are written in place, in one part;
+and progress shows on slow runs."""
 import contextlib
 import io
 import os
@@ -121,16 +122,86 @@ def test_a_fifo_output_is_written_in_place_and_stays_a_fifo(tmp_path, monkeypatc
     assert read == Path("tc.tsv").read_bytes()
 
 
-def test_all_pairs_into_a_directory_fails_before_the_scan(tmp_path, monkeypatch):
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not hasattr(os, "copy_file_range"),
+                    reason="writes into a FIFO, and into a regular file in forked parts")
+def test_a_one_pair_file_into_a_pipe_or_a_device_is_written_in_one_part(tmp_path, monkeypatch,
+                                                                        block_rows, parts):
+    # 610 lines of about 45 bytes fit in a pipe's 64 KB buffer; pinned to
+    # two parts, the regular file takes a temporary file for the second,
+    # and neither the FIFO nor /dev/null, which cannot take a copied part
+    monkeypatch.chdir(tmp_path)
+    walks(tmp_path / "w.tsv", 2, 16, "w")
+    block_rows(100)
+    parts(2)
+    temporaries = []
+    temporary_file = cli.tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        temporaries.append(1)
+        return temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", counted)
+    argv = ["clouds", "a", "b", "--input", "w.tsv", "--min-part", "2", "--output"]
+    assert run(argv + ["clouds.txt"])[0] == 0
+    assert temporaries == [1]
+    os.mkfifo("clouds.fifo")
+    fd = os.open("clouds.fifo", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, err = run(argv + ["clouds.fifo"])
+        read = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert code == 0, err
+    assert read == Path("clouds.txt").read_bytes()
+    code, _, err = run(argv + [os.devnull])
+    assert code == 0, err
+    assert temporaries == [1]
+    assert sorted(os.listdir(".")) == ["clouds.fifo", "clouds.txt", "w.tsv"]
+
+
+@pytest.mark.parametrize("command", [["all-pairs", "--threads", "1"], ["time-corr", "--threads", "1"],
+                                     ["clouds", "a", "b"], ["pair", "a", "b"]], ids=lambda c: c[0])
+def test_every_command_makes_the_directory_of_its_output(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    walks(tmp_path / "w.tsv", 4, 16, "w")
+    # pair's --output names the directory of its file, the others' the file
+    name = "Output.w.a.b.n16.m2.txt" if command[0] == "pair" else "out.tsv"
+    written = []
+    for where in (Path("."), Path("new", "sub")):
+        output = where if command[0] == "pair" else where / name
+        code, _, err = run(command + ["--input", "w.tsv", "--min-part", "2", "--output", str(output)])
+        assert code == 0, err
+        written.append((where / name).read_bytes())
+    assert Path("new", "sub").is_dir()
+    assert written[1] == written[0]
+
+
+@pytest.mark.parametrize("command,scan", [("all-pairs", "run_all_pairs"), ("time-corr", "run_versus_time")],
+                         ids=["all-pairs", "time-corr"])
+def test_a_batch_run_into_a_directory_fails_before_the_scan(tmp_path, monkeypatch, command, scan):
     monkeypatch.chdir(tmp_path)
     walks(tmp_path / "w.tsv", 4, 23, "w")
     Path("out").mkdir()
     scans = []
-    monkeypatch.setattr(cli, "run_all_pairs", lambda *args, **kwargs: scans.append(args))
-    code, _, err = run(["all-pairs", "--input", "w.tsv", "--threads", "1", "--output", "out"])
+    monkeypatch.setattr(cli, scan, lambda *args, **kwargs: scans.append(args))
+    code, _, err = run([command, "--input", "w.tsv", "--threads", "1", "--output", "out"])
     assert code == 1 and "Is a directory" in err
     assert scans == []
     assert Path("out").is_dir() and not Path("out.partial").exists()
+
+
+def test_a_failed_time_corr_scan_leaves_the_header_in_its_partial(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    walks(tmp_path / "w.tsv", 4, 23, "w")
+
+    def failing(*args, **kwargs):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli, "run_versus_time", failing)
+    code, _, err = run(["time-corr", "--input", "w.tsv", "--threads", "1", "--output", "tc.tsv"])
+    assert code == 1 and "no space left" in err and "aborted" in err
+    assert not Path("tc.tsv").exists()
+    assert Path("tc.tsv.partial").read_text() == engine.RECORD_HEADER + "\n"
 
 
 def test_progress_prints_after_ten_seconds_without_a_line(monkeypatch, capsys):
